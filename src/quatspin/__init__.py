@@ -33,7 +33,6 @@ from .spin import (
     polarization_evolution,
     resonance_curve,
     spin_flip_probability,
-    spin_ode_rhs,
     spin_up_probability,
 )
 from .emfield import (

@@ -1,7 +1,7 @@
 """Command-line front end: run scenario files, validate them, list kinds.
 
-Exit codes: 0 success, 2 configuration error (including malformed or
-invalid scenario files), 3 I/O error.
+Exit codes: 0 success, 2 configuration error (malformed, non-UTF-8 or
+invalid scenario files, or parameters the library rejects), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(err: ValueError) -> int:
+    for line in err.errors if isinstance(err, ConfigError) else [f"{type(err).__name__}: {err}"]:
+        print(f"error: {line}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _resolve_out_dir(flag: str | None) -> str:
     if flag:
         return flag
@@ -51,13 +57,11 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-    except ConfigError as err:
-        for line in err.errors:
-            print(f"error: {line}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as err:
         print(f"error: cannot read scenario: {err}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as err:  # ConfigError, or UnicodeDecodeError for a non-UTF-8 file
+        return _config_error(err)
 
     if args.command == "validate":
         print(f"ok: {args.scenario} is a valid {scenario.kind!r} scenario")
@@ -75,6 +79,8 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as err:  # a constraint only the library checks, e.g. StepTooLarge
+        return _config_error(err)
 
     for line in report.lines():
         print(line)

@@ -10,7 +10,8 @@ rotation matrix) is derived from that single convention; mixing in
 Hamilton-convention formulas from elsewhere will silently flip signs.
 
 A quaternion is stored as its coefficient 4-tuple (s0, sx, sy, sz); the
-matrix realizations are derived views, never the source of truth.
+matrix realizations are derived views, never the source of truth.  Hot
+paths use the (..., 4) array kernels quat_mul_batch and rotate_batch.
 """
 
 from __future__ import annotations
@@ -109,17 +110,30 @@ class Spinor2:
         return abs(self.up) ** 2 + abs(self.down) ** 2
 
 
+def _mul4(a, b) -> tuple:
+    """Product of two coefficient 4-sequences whose items are floats or equal-shape arrays."""
+    a0, ax, ay, az = a
+    b0, bx, by, bz = b
+    return (
+        a0 * b0 - ax * bx - ay * by - az * bz,
+        ax * b0 + a0 * bx + az * by - ay * bz,
+        ay * b0 - az * bx + a0 * by + ax * bz,
+        az * b0 + ay * bx - ax * by + a0 * bz,
+    )
+
+
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     """Product a (x) b; identical to the matrix-vector action to_eta(a) @ b.
 
     Norm is multiplicative: |a (x) b| = |a| |b|.
     """
-    return Quaternion(
-        a.s0 * b.s0 - a.sx * b.sx - a.sy * b.sy - a.sz * b.sz,
-        a.sx * b.s0 + a.s0 * b.sx + a.sz * b.sy - a.sy * b.sz,
-        a.sy * b.s0 - a.sz * b.sx + a.s0 * b.sy + a.sx * b.sz,
-        a.sz * b.s0 + a.sy * b.sx - a.sx * b.sy + a.s0 * b.sz,
-    )
+    return Quaternion(*_mul4((a.s0, a.sx, a.sy, a.sz), (b.s0, b.sx, b.sy, b.sz)))
+
+
+def quat_mul_batch(a, b) -> np.ndarray:
+    """Row-wise a (x) b of broadcastable (..., 4) arrays; each row equals quat_mul bit for bit."""
+    a, b = (np.moveaxis(np.asarray(x, dtype=float), -1, 0) for x in (a, b))
+    return np.stack(_mul4(a, b), axis=-1)
 
 
 def to_eta(q: Quaternion) -> np.ndarray:
@@ -197,15 +211,28 @@ def quat_to_rotation(q: Quaternion) -> np.ndarray:
 
     Raises NonUnitQuaternion if |q|^2 deviates from 1 by more than 1e-9.
     """
-    if not q.is_unit(UNIT_TOL_INPUT):
-        raise NonUnitQuaternion(f"|q|^2 = {q.norm_sq()!r} is not 1 within {UNIT_TOL_INPUT}")
-    u0, ux, uy, uz = q.normalized().as_array()
+    # the images of the basis vectors are exactly the columns
+    return rotate_batch(q.as_array(), np.eye(3)).T
+
+
+def rotate_batch(q, p) -> np.ndarray:
+    """Readout R(q) p for every row of a (..., 4) array q; p is (3,) or broadcasts as (..., 3).
+
+    Raises NonUnitQuaternion if any |q|^2 deviates from 1 by more than 1e-9.
+    """
+    q = np.asarray(q, dtype=float)
+    q0, qx, qy, qz = np.moveaxis(q, -1, 0)
+    nsq = q0 * q0 + qx * qx + qy * qy + qz * qz
+    bad = ~(np.abs(nsq - 1.0) <= UNIT_TOL_INPUT)
+    if np.any(bad):
+        raise NonUnitQuaternion(f"|q|^2 = {float(nsq[bad].flat[0])!r} is not 1 within {UNIT_TOL_INPUT}")
+    u0, ux, uy, uz = np.moveaxis(q / np.sqrt(nsq)[..., None], -1, 0)
     xx, yy, zz = ux * ux, uy * uy, uz * uz
     xy, yz, zx = ux * uy, uy * uz, uz * ux
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy + u0 * uz), 2.0 * (zx - u0 * uy)],
-            [2.0 * (xy - u0 * uz), 1.0 - 2.0 * (zz + xx), 2.0 * (yz + u0 * ux)],
-            [2.0 * (zx + u0 * uy), 2.0 * (yz - u0 * ux), 1.0 - 2.0 * (xx + yy)],
-        ]
+    rows = (
+        (1.0 - 2.0 * (yy + zz), 2.0 * (xy + u0 * uz), 2.0 * (zx - u0 * uy)),
+        (2.0 * (xy - u0 * uz), 1.0 - 2.0 * (zz + xx), 2.0 * (yz + u0 * ux)),
+        (2.0 * (zx + u0 * uy), 2.0 * (yz - u0 * ux), 1.0 - 2.0 * (xx + yy)),
     )
+    p = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    return np.stack([r0 * p[0] + r1 * p[1] + r2 * p[2] for r0, r1, r2 in rows], axis=-1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import emfield, lorentz, spin
-from .quaternion import quat_mul, quat_to_rotation
+from .quaternion import rotate_batch
 
 KINDS = ("pms", "helical", "resonance-curve", "em-check", "lorentz-check")
 EM_CASES = ("plane-wave", "point-charge", "constant")
@@ -122,7 +122,10 @@ def _finite(x):
 
 _COMMON = (
     _Field("seed", int, required=False, default=0),
-    _Field("output", str, required=False, default=None),
+    # a directory part could put the table outside the output directory; empty selects the default name
+    _Field("output", str, required=False, default=None,
+           check=lambda v: v == "" or (v not in (".", "..") and "/" not in v and "\\" not in v),
+           expect="a bare file name (no directory part, not '.' or '..')"),
     _Field("format", str, required=False, default="csv", check=lambda v: v in ("csv", "json"),
            expect="one of csv, json"),
 )
@@ -242,14 +245,11 @@ def _run_pms(scn: Scenario, threads: int):
     cfg = spin.PmsConfig(n_blocks=p["n_blocks"], xi1=p["xi1"], xi2=p["xi2"], theta=p["theta"])
     p0 = np.array([0.0, 0.0, 1.0])
     traj = spin.pms_propagate(cfg, p0)
-    u1, _ = spin.pms_block_generators(cfg, 0)
-    rows = []
-    for n in range(len(traj)):
-        q = traj.states[n]
-        base, mid = traj.polar[n, 0], traj.polar[n, 1]
-        rows.append([2 * n, float(n), *q, *base, *mid])
-        q_mid = quat_mul(u1, traj.state(n)).as_array()
-        rows.append([2 * n + 1, n + 0.5, *q_mid, *mid, *mid])
+    base, mid = traj.polar[:, 0], traj.polar[:, 1]
+    base_rows = np.concatenate([traj.states, base, mid], axis=1).tolist()
+    mid_rows = np.concatenate([traj.mid_states, mid, mid], axis=1).tolist()
+    rows = [row for n, (at_base, at_mid) in enumerate(zip(base_rows, mid_rows))
+            for row in ([2 * n, float(n), *at_base], [2 * n + 1, n + 0.5, *at_mid])]
     closure = float(np.linalg.norm(traj.polar[-1, 0] - p0))
     return _TRAJ_COLUMNS, rows, {"closure_distance": closure, "resonant_geometry": float(cfg.is_resonant(1e-9))}
 
@@ -258,16 +258,12 @@ def _run_helical(scn: Scenario, threads: int):
     p = scn.params
     params = spin.HelicalParams(gamma_width=p["gamma"], delta_detune=p["delta"], omega_drive=p["omega"])
     traj = spin.integrate_spin(spin.helical_field(params), spin.IDENTITY, (0.0, p["t_max"]), p["dt"])
-    p0 = np.array([0.0, 0.0, 1.0])
-    sign = p["sign"]
-    rows = []
-    for i in range(len(traj)):
-        q = traj.state(i)
-        readout = q.conjugate() if sign < 0 else q
-        pvec = quat_to_rotation(readout) @ p0
-        rows.append([i, float(traj.times[i]), *traj.states[i], *pvec, *pvec])
+    # sign -1 reads the polarization from the conjugate states (the reversed rotation)
+    readout = traj.states if p["sign"] > 0 else traj.states * np.array([1.0, -1.0, -1.0, -1.0])
+    pvec = rotate_batch(readout, np.array([0.0, 0.0, 1.0]))
+    rows = [[i, *row] for i, row in enumerate(np.column_stack([traj.times, traj.states, pvec, pvec]).tolist())]
     drift = float(np.max(np.abs(np.einsum("ij,ij->i", traj.states, traj.states) - 1.0)))
-    return _TRAJ_COLUMNS, rows, {"final_pz": float(rows[-1][8]), "max_norm_drift": drift}
+    return _TRAJ_COLUMNS, rows, {"final_pz": rows[-1][8], "max_norm_drift": drift}
 
 
 def _run_resonance_curve(scn: Scenario, threads: int):
@@ -436,12 +432,14 @@ def _jsonable(value):
 
 
 def write_table(path: str, columns, rows, fmt: str):
-    """Write the table as CSV (comma, LF, UTF-8, header row) or JSON."""
+    """Write the table as CSV (comma, LF, UTF-8, header row; rows of equal length) or JSON."""
     if fmt == "csv":
+        # a column of Python floats encodes as _cell would, without the per-cell dispatch
+        encoded = [map(float.__repr__ if set(map(type, col)) == {float} else _cell, col)
+                   for col in zip(*rows, strict=True)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.writelines(",".join(cells) + "\n" for cells in zip(*encoded))
     else:
         doc = {"columns": list(columns), "rows": [[_jsonable(v) for v in row] for row in rows]}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -20,16 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quaternion import (
-    ETA_X,
-    ETA_Y,
-    ETA_Z,
     IDENTITY,
     UNIT_TOL_INPUT,
     NonUnitQuaternion,
     Quaternion,
-    quat_mul,
+    _mul4,
+    quat_mul_batch,
     quat_to_rotation,
+    rotate_batch,
 )
+
+MAX_STEPS = 1_000_000  # integrate_spin's step cap: about 100 MB and a few seconds
+_BLOCK = 1024  # steps sampled and built per batch, which bounds the temporaries near 1 MB
 
 
 class IndexOutOfRange(IndexError):
@@ -142,12 +144,14 @@ class SpinTrajectory:
     """Time-stamped sequence of unit spin states, optionally with arrow pairs.
 
     states has shape (n, 4); polar, when present, has shape (n, 2, 3) holding
-    (P_n, P_n_mid) where P_n_mid is the arrow tip after the next bar.
+    (P_n, P_n_mid) where P_n_mid is the arrow tip after the next bar, and
+    mid_states (n, 4) holds the states that P_n_mid is read from.
     """
 
     times: np.ndarray
     states: np.ndarray
     polar: np.ndarray | None = None
+    mid_states: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -161,11 +165,13 @@ class SpinTrajectory:
         norms = np.einsum("ij,ij->i", states, states)
         if norms.size and np.max(np.abs(norms - 1.0)) > UNIT_TOL_INPUT:
             raise ValueError("every state must be unit norm within 1e-9")
-        if self.polar is not None:
-            polar = np.asarray(self.polar, dtype=float)
-            object.__setattr__(self, "polar", polar)
-            if polar.shape != (times.size, 2, 3):
-                raise ValueError("polar must have shape (n, 2, 3)")
+        for name, tail in (("polar", (2, 3)), ("mid_states", (4,))):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                object.__setattr__(self, name, value)
+                if value.shape != (times.size, *tail):
+                    raise ValueError(f"{name} must have shape (n, {', '.join(map(str, tail))})")
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -175,8 +181,7 @@ class SpinTrajectory:
 
     def polarization(self, p0) -> np.ndarray:
         """Rotate p0 by every stored state; returns an (n, 3) array."""
-        p = _unit_polarization(p0)
-        return np.array([quat_to_rotation(self.state(i)) @ p for i in range(len(self))])
+        return rotate_batch(self.states, _unit_polarization(p0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,86 +211,86 @@ def pms_propagate(cfg: PmsConfig, p0) -> SpinTrajectory:
 
     Emits n = 0..n_blocks, i.e. n_blocks + 1 entries.  The propagating
     quaternion is composed per block as u2 (x) u1 (x) q, which realizes the
-    same chain through the rotation homomorphism.
+    same chain through the rotation homomorphism; mid_states holds u1 (x) q.
     """
     p = _unit_polarization(p0)
-    u1, u2 = pms_block_generators(cfg, 0)
-    q = IDENTITY
-    times = np.arange(cfg.n_blocks + 1, dtype=float)
-    states = np.empty((cfg.n_blocks + 1, 4))
-    polar = np.empty((cfg.n_blocks + 1, 2, 3))
+    u1, u2 = (g.as_array().tolist() for g in pms_block_generators(cfg, 0))
+    q, chain = IDENTITY.as_array().tolist(), np.empty((cfg.n_blocks + 1, 2, 4))
     for n in range(cfg.n_blocks + 1):
-        states[n] = q.as_array()
-        polar[n, 0] = quat_to_rotation(q) @ p
-        polar[n, 1] = quat_to_rotation(quat_mul(u1, q)) @ p
-        if n < cfg.n_blocks:
-            q = quat_mul(u2, quat_mul(u1, q))
-    return SpinTrajectory(times=times, states=states, polar=polar)
+        mid = _mul4(u1, q)
+        chain[n] = q, mid
+        q = _mul4(u2, mid)
+    times = np.arange(cfg.n_blocks + 1, dtype=float)
+    return SpinTrajectory(times=times, states=chain[:, 0], polar=rotate_batch(chain, p), mid_states=chain[:, 1])
 
 
 # ---------------------------------------------------------------------------
 # precession ODE
 
 
-def eta_dot_field(field) -> np.ndarray:
-    """Antisymmetric 4x4 matrix Bx*eta_x + By*eta_y + Bz*eta_z."""
-    b = np.asarray(field, dtype=float)
-    return b[0] * ETA_X + b[1] * ETA_Y + b[2] * ETA_Z
-
-
-def spin_ode_rhs(field, s: Quaternion, coupling: float) -> Quaternion:
-    """ds/dt = -(coupling/2) (eta . field) s.
-
-    The generator is antisymmetric, so <s, ds/dt> = 0 and the norm is
-    conserved exactly.  coupling is the gyromagnetic ratio (or any caller
-    supplied rate constant); the factor 1/2 is the spinor half angle.
-    """
-    ds = -0.5 * coupling * (eta_dot_field(field) @ s.as_array())
-    return Quaternion.from_array(ds)
-
-
-def _rhs(field_fn, t: float, s: np.ndarray, coupling: float) -> np.ndarray:
-    return -0.5 * coupling * (eta_dot_field(field_fn(t)) @ s)
+def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: float) -> np.ndarray:
+    """RK4 step quaternions m_n (n, 4) for steps h from the start times; see integrate_spin."""
+    sample_times = np.stack([starts, starts + 0.5 * h, starts + h], axis=1).ravel().tolist()
+    fields = np.array([field_fn(t) for t in sample_times], dtype=float)
+    if fields.shape != (len(sample_times), 3):
+        raise ValueError(f"field_fn must return a 3-vector, got shape {fields.shape[1:]}")
+    fields = fields.reshape(-1, 3, 3)
+    # a stacked matmul runs the dot kernel of np.linalg.norm, so each angle is bit-exact
+    step_angle = h * (np.sqrt((fields[:, 0, None, :] @ fields[:, 0, :, None])[:, 0, 0]) * abs(coupling))
+    if np.any(step_angle > 0.5):
+        i = int(np.argmax(step_angle > 0.5))
+        raise StepTooLarge(f"dt * |coupling * B| = {float(step_angle[i])!r} exceeds 0.5 rad "
+                           f"at t = {float(starts[i])!r}")
+    a1, a2, a3 = np.moveaxis(np.pad(-0.5 * coupling * fields, ((0, 0), (0, 0), (1, 0))), 1, 0)
+    a21, a22, a32 = quat_mul_batch(a2, a1), quat_mul_batch(a2, a2), quat_mul_batch(a3, a2)
+    a221 = quat_mul_batch(a22, a1)
+    h = h[:, None]
+    m = (h / 6.0) * (a1 + 4.0 * a2 + a3) + (h * h / 6.0) * (a21 + a22 + a32) \
+        + (h**3 / 12.0) * (a221 + quat_mul_batch(a3, a22)) + (h**4 / 24.0) * quat_mul_batch(a3, a221)
+    m[:, 0] += 1.0
+    return m
 
 
 def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float = 1.0) -> SpinTrajectory:
     """Classical 4th-order fixed-step integration of the precession ODE.
 
-    field_fn maps time to a field 3-vector.  Steps are dt except for a final
-    shorter one landing exactly on t_span[1]; every stored state is
-    renormalized, which only removes round-off because the generator is
-    antisymmetric.
+    Steps are dt except for a final shorter one landing exactly on
+    t_span[1].  eta . B acts as left-multiplication by (0, B), so each RK4
+    step is one product s_{n+1} = m_n (x) s_n, with a_k = -(coupling/2)(0, B)
+    at t, t + h/2 and t + h:
 
-    Raises InvalidTimeSpan for an empty span or non-positive dt, and
-    StepTooLarge if any step would rotate the spin by more than 0.5 rad.
+        m = 1 + h/6 (a1 + 4 a2 + a3) + h^2/6 (a2 a1 + a2^2 + a3 a2)
+              + h^3/12 (a2^2 a1 + a3 a2^2) + h^4/24 a3 a2^2 a1.
+
+    field_fn maps time to a field 3-vector.  It is called at those three
+    times per step, for a block of steps before they are taken, so it must
+    be pure.  Every state is renormalized, which only removes round-off.
+
+    Raises InvalidTimeSpan for an empty span, a non-positive dt or more than
+    MAX_STEPS steps, and StepTooLarge if any step would rotate the spin by
+    more than 0.5 rad (the first such step is named).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (dt > 0.0) or not (t1 > t0):
         raise InvalidTimeSpan(f"need t1 > t0 and dt > 0, got span ({t0}, {t1}), dt {dt}")
+    ratio = (t1 - t0) / dt - 1e-12
+    if not ratio <= MAX_STEPS:
+        raise InvalidTimeSpan(f"span ({t0}, {t1}) with dt {dt} needs more than MAX_STEPS = {MAX_STEPS} steps")
     if not s0.is_unit(UNIT_TOL_INPUT):
         raise NonUnitQuaternion(f"initial state norm^2 = {s0.norm_sq()!r} is not 1 within {UNIT_TOL_INPUT}")
 
-    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
-    times = np.empty(n_steps + 1)
+    n_steps = max(1, math.ceil(ratio))
+    times = np.concatenate([[t0], t0 + np.arange(1, n_steps) * dt, [t1]])
+    starts = times[:-1]
+    h = np.minimum(dt, t1 - starts)
     states = np.empty((n_steps + 1, 4))
-    s = s0.normalized().as_array()
-    t = t0
-    times[0] = t
-    states[0] = s
-    for i in range(n_steps):
-        h = min(dt, t1 - t)
-        rate = float(np.linalg.norm(np.asarray(field_fn(t), dtype=float))) * abs(coupling)
-        if h * rate > 0.5:
-            raise StepTooLarge(f"dt * |coupling * B| = {h * rate!r} exceeds 0.5 rad at t = {t!r}")
-        k1 = _rhs(field_fn, t, s, coupling)
-        k2 = _rhs(field_fn, t + 0.5 * h, s + 0.5 * h * k1, coupling)
-        k3 = _rhs(field_fn, t + 0.5 * h, s + 0.5 * h * k2, coupling)
-        k4 = _rhs(field_fn, t + h, s + h * k3, coupling)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = s / np.linalg.norm(s)
-        t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
-        times[i + 1] = t
-        states[i + 1] = s
+    states[0] = s = s0.normalized().as_array().tolist()
+    for lo in range(0, n_steps, _BLOCK):
+        m = _step_quaternions(field_fn, starts[lo : lo + _BLOCK], h[lo : lo + _BLOCK], coupling)
+        for k, mk in enumerate(m.tolist(), start=lo + 1):
+            w, x, y, z = _mul4(mk, s)
+            norm = math.sqrt(w * w + x * x + y * y + z * z)
+            states[k] = s = (w / norm, x / norm, y / norm, z / norm)
     return SpinTrajectory(times=times, states=states)
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quatspin.quaternion import (
     ETA_0,
@@ -19,7 +22,9 @@ from quatspin.quaternion import (
     from_eta,
     precession_angle,
     quat_mul,
+    quat_mul_batch,
     quat_to_rotation,
+    rotate_batch,
     to_eta,
     to_spinor,
     to_su2,
@@ -211,3 +216,52 @@ def test_quat_to_rotation_double_cover_and_homomorphism():
         lhs = quat_to_rotation(quat_mul(a, b))
         rhs = quat_to_rotation(a) @ quat_to_rotation(b)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched (..., 4) kernels against the scalar API
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def unit_rows(n):
+    return arrays(float, (n, 4), elements=finite).filter(lambda q: np.all(np.linalg.norm(q, axis=1) > 1e-3)).map(
+        lambda q: q / np.linalg.norm(q, axis=1, keepdims=True)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, (7, 4), elements=finite), arrays(float, (7, 4), elements=finite))
+def test_quat_mul_batch_equals_quat_mul_row_by_row(a, b):
+    got = quat_mul_batch(a, b)
+    assert got.shape == (7, 4)
+    for i in range(7):
+        want = quat_mul(Quaternion.from_array(a[i]), Quaternion.from_array(b[i])).as_array()
+        assert np.array_equal(got[i], want)
+    # broadcasting: one left factor against every row
+    assert np.array_equal(quat_mul_batch(a[0], b), np.stack([quat_mul_batch(a[0], row) for row in b]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_rows(6), arrays(float, 3, elements=finite))
+def test_rotate_batch_equals_quat_to_rotation_row_by_row(q, p):
+    got = rotate_batch(q, p)
+    assert got.shape == (6, 3)
+    tol = 1e-14 * (1.0 + np.abs(p).sum())
+    for i in range(6):
+        qi = Quaternion.from_array(q[i])
+        # the defining conjugation R(q) P = vec(q (x) (0, P) (x) q*), from the scalar product
+        conj = quat_mul(quat_mul(qi, Quaternion(0.0, *p)), qi.conjugate()).as_array()[1:]
+        assert np.allclose(got[i], conj, rtol=0.0, atol=tol)
+        assert np.allclose(got[i], quat_to_rotation(qi) @ p, rtol=0.0, atol=tol)
+
+
+def test_rotate_batch_rejects_non_unit_rows():
+    q = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
+    with pytest.raises(NonUnitQuaternion, match="2.0"):
+        rotate_batch(q, [0.0, 0.0, 1.0])
+    with pytest.raises(NonUnitQuaternion):
+        rotate_batch(q[2], [0.0, 0.0, 1.0])
+    # the 1e-9 input tolerance is kept
+    assert rotate_batch([1.0 + 4e-10, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0]).shape == (3,)

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quatspin
 from quatspin.cli import main
 from quatspin.scenarios import (
     ConfigError,
@@ -71,6 +75,15 @@ def test_validate_unknown_kind_lists_allowed():
     joined = " ".join(err.value.errors)
     for kind in ("pms", "helical", "resonance-curve", "em-check", "lorentz-check"):
         assert kind in joined
+
+
+@pytest.mark.parametrize("name", ["../x.csv", "/tmp/x.csv", "sub/x.csv", "..", ".", "a\\b.csv"])
+def test_validate_output_must_be_a_bare_file_name(name):
+    with pytest.raises(ConfigError) as err:
+        validate_scenario({"kind": "pms", "xi1": 0.3, "output": name, "bogus": 1})
+    joined = " ".join(err.value.errors)
+    assert "'output'" in joined and "bare file name" in joined
+    assert "bogus" in joined and "xi2" in joined  # listed with every other problem
 
 
 def test_validate_aggregates_every_violation():
@@ -206,6 +219,50 @@ def test_json_output(tmp_path):
     assert open(report.outputs[0], "rb").read() == open(report2.outputs[0], "rb").read()
 
 
+def reference_csv(columns, rows) -> bytes:
+    """The CSV encoder as it was before columns were typed: one dispatch per cell."""
+
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [columns, *rows]).encode("utf-8")
+
+
+cell_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.text(st.characters(blacklist_characters=",\n\r"), max_size=5),
+    st.floats(width=64).map(np.float64),
+    st.integers(-1000, 1000).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.one_of(st.lists(st.floats(allow_nan=False), min_size=width, max_size=width),
+                       st.lists(cell_values, min_size=width, max_size=width)), max_size=6),
+    st.just(width))))
+def test_write_table_csv_bytes_match_per_cell_encoder(tmp_path_factory, table):
+    rows, width = table
+    columns = [f"c{i}" for i in range(width)]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_table(str(path), columns, rows, "csv")
+    assert path.read_bytes() == reference_csv(columns, rows)
+
+
+def test_write_table_rejects_ragged_rows(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(str(tmp_path / "t.csv"), ("a", "b"), [[1, 0.5], [2]], "csv")
+
+
 def test_write_table_csv_lf_endings(tmp_path):
     path = str(tmp_path / "t.csv")
     write_table(path, ("a", "b"), [[1, 0.5], [2, 0.25]], "csv")
@@ -298,3 +355,41 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 2
     assert "allowed kinds" in proc.stderr
+
+
+# every input ROADMAP item 4 reproduced as a crash (exit 1 with a traceback)
+# or as a silent escape from --out
+ITEM4_INPUTS = {
+    "helical-degenerate": b"kind = helical\ngamma = 0.0\ndelta = 0.0\nomega = 0.03\nt_max = 10.0\ndt = 0.1\n",
+    "helical-step-too-large": b"kind = helical\ngamma = 0.5\ndelta = 0.0\nomega = 2.0\nt_max = 10.0\ndt = 0.4\n",
+    "helical-dt-1e-300": b"kind = helical\ngamma = 0.5\ndelta = 0.0\nomega = 2.0\nt_max = 10.0\ndt = 1e-300\n",
+    "lorentz-rapidity-800": b"kind = lorentz-check\nn_cases = 4\nmax_generators = 3\nrapidity_max = 800.0\nseed = 3\n",
+    "non-utf8-file": "kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = 5\n# caf\xe9 \xff\n".encode("latin-1"),
+    "output-escapes-out-dir": RESONANT_PMS.encode() + b"output = ../escaped.csv\n",
+    "output-absolute": RESONANT_PMS.encode() + b"output = {abs}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ITEM4_INPUTS))
+def test_cli_item4_inputs_exit_2_or_3_without_traceback(tmp_path, name):
+    text = ITEM4_INPUTS[name]
+    work = tmp_path / "work"
+    work.mkdir()
+    outside = tmp_path / "abs.csv"
+    scn = work / "scn.txt"
+    scn.write_bytes(text.replace(b"{abs}", str(outside).encode()))
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatspin.cli", "run", str(scn), "--out", str(work / "out")],
+        capture_output=True,
+        text=True,
+        cwd=work,
+        env=env,
+    )
+    assert proc.returncode in (2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
+    # nothing written anywhere but --out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+    assert sorted(p.name for p in work.iterdir()) in (["scn.txt"], ["out", "scn.txt"])

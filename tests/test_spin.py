@@ -2,23 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatspin.quaternion import (
-    ETA_X,
-    ETA_Y,
-    ETA_Z,
     IDENTITY,
     NonUnitQuaternion,
     Quaternion,
     from_axis_angle,
     quat_mul,
     quat_to_rotation,
+    to_eta,
 )
 from quatspin.spin import (
     DegenerateParams,
     EmptyRange,
     HelicalFieldSpec,
     HelicalParams,
+    MAX_STEPS,
     IndexOutOfRange,
     InvalidTimeSpan,
     NonUnitPolarization,
@@ -26,7 +27,6 @@ from quatspin.spin import (
     SpinTrajectory,
     StepTooLarge,
     analytic_helical,
-    eta_dot_field,
     helical_field,
     helical_params_from_field,
     integrate_spin,
@@ -35,7 +35,6 @@ from quatspin.spin import (
     polarization_evolution,
     resonance_curve,
     spin_flip_probability,
-    spin_ode_rhs,
     spin_up_probability,
 )
 
@@ -146,6 +145,16 @@ def test_pms_degenerate_theta_stays_near_yz_great_circle():
     assert max2 == pytest.approx(2 * max1, rel=0.15)
 
 
+def test_pms_mid_states_are_the_bar_images():
+    cfg = PmsConfig(30, 0.7, 0.05, 0.11)
+    traj = pms_propagate(cfg, POLE)
+    u1, _ = pms_block_generators(cfg, 0)
+    for n in range(len(traj)):
+        assert np.array_equal(traj.mid_states[n], quat_mul(u1, traj.state(n)).as_array())
+        assert np.array_equal(traj.polar[n, 1], quat_to_rotation(Quaternion.from_array(traj.mid_states[n]))[:, 2])
+    assert np.allclose(traj.polarization(POLE), traj.polar[:, 0], atol=1e-15)
+
+
 def test_pms_states_unit_norm():
     traj = pms_propagate(PmsConfig(50, 0.7, 0.05, 0.11), POLE)
     norms = np.einsum("ij,ij->i", traj.states, traj.states)
@@ -167,20 +176,140 @@ def test_pms_spinor_flip_at_exact_resonance():
 # precession ODE
 
 
-def test_eta_dot_field_componentwise():
-    rng = np.random.default_rng(12)
-    b = rng.normal(size=3)
-    assert np.array_equal(eta_dot_field(b), b[0] * ETA_X + b[1] * ETA_Y + b[2] * ETA_Z)
+def rk4_matmul_reference(field_fn, s0, t_span, dt, coupling=1.0):
+    """The integrator as it was before steps became quaternion products.
+
+    Four 4x4 matmuls per step, the step-angle check at each step start, and
+    the same time grid: t0 + i dt, with a final short step onto t_span[1].
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+
+    def rhs(t, s):
+        return -0.5 * coupling * (to_eta(Quaternion(0.0, *field_fn(t))) @ s)
+
+    times, states = [t0], [s0.normalized().as_array()]
+    s, t = states[0], t0
+    for i in range(n_steps):
+        h = min(dt, t1 - t)
+        rate = float(np.linalg.norm(np.asarray(field_fn(t), dtype=float))) * abs(coupling)
+        if h * rate > 0.5:
+            raise StepTooLarge(f"dt * |coupling * B| = {h * rate!r} exceeds 0.5 rad at t = {t!r}")
+        k1 = rhs(t, s)
+        k2 = rhs(t + 0.5 * h, s + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, s + 0.5 * h * k2)
+        k4 = rhs(t + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = s / np.linalg.norm(s)
+        t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
+        times.append(t)
+        states.append(s)
+    return np.array(times), np.array(states)
 
 
-def test_spin_ode_rhs_zero_field_and_norm_conservation():
+def smooth_field(seed):
+    """A random smooth field: three Fourier modes per component."""
+    rng = np.random.default_rng(seed)
+    amp, freq, phase = rng.uniform(-1, 1, (3, 3)), rng.uniform(0, 2, (3, 3)), rng.uniform(0, 6, (3, 3))
+
+    def field(t):
+        return tuple(float(np.sum(amp[k] * np.cos(freq[k] * t + phase[k]))) for k in range(3))
+
+    return field
+
+
+rates = st.floats(0.0, 2.0)
+field_cases = st.one_of(
+    st.builds(lambda g, d, w: ("helical", helical_field(HelicalParams(g, d, w))),
+              st.floats(0.01, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.builds(lambda b: ("constant", lambda t: b), st.tuples(rates, rates, rates)),
+    st.builds(lambda seed: ("smooth", smooth_field(seed)), st.integers(0, 10_000)),
+)
+spans = st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 30.0), st.floats(0.01, 0.1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_cases, spans, st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3), st.integers(0, 2**32 - 1))
+def test_integrate_spin_matches_rk4_matmul_reference(case, span, coupling, seed):
+    _, field = case
+    t0, length, dt = span
+    s0 = Quaternion.from_array(np.random.default_rng(seed).normal(size=4) + 0.1).normalized()
+    t_span = (t0, t0 + length)
+    try:
+        ref_times, ref_states = rk4_matmul_reference(field, s0, t_span, dt, coupling)
+    except StepTooLarge as err:
+        with pytest.raises(StepTooLarge) as got:
+            integrate_spin(field, s0, t_span, dt, coupling=coupling)
+        # same first offending step, same message
+        assert str(got.value) == str(err)
+        return
+    traj = integrate_spin(field, s0, t_span, dt, coupling=coupling)
+    # the time grid is bit-identical, final short step included
+    assert traj.times.tobytes() == ref_times.tobytes()
+    assert float(np.max(np.abs(traj.states - ref_states))) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 40.0), st.floats(-3.0, 3.0), st.floats(0.2, 2.0), st.integers(0, 200))
+def test_step_too_large_names_the_first_offending_step(strength, t0, width, n_quiet):
+    # quiet until a pulse switches on: the first step whose start sees the pulse is named
+    dt = 0.05
+    t_on = t0 + n_quiet * dt + 0.5 * dt
+
+    def field(t):
+        return (0.0, 0.0, strength if t >= t_on else 0.01)
+
+    t_span = (t0, t_on + width)
+    if strength * dt <= 0.5:
+        integrate_spin(field, IDENTITY, t_span, dt)
+        return
+    with pytest.raises(StepTooLarge) as expected:
+        rk4_matmul_reference(field, IDENTITY, t_span, dt)
+    with pytest.raises(StepTooLarge) as got:
+        integrate_spin(field, IDENTITY, t_span, dt)
+    assert str(got.value) == str(expected.value)
+
+
+def test_integrate_spin_times_and_field_calls():
+    calls = []
+
+    def field(t):
+        calls.append(t)
+        return (0.0, 0.1, 0.0)
+
+    # 10 / 3 = 3.33 steps: three of dt and a final short step landing on t1
+    traj = integrate_spin(field, IDENTITY, (0.0, 10.0), 3.0)
+    assert traj.times.tolist() == [0.0, 3.0, 6.0, 9.0, 10.0]
+    assert calls == [0.0, 1.5, 3.0, 3.0, 4.5, 6.0, 6.0, 7.5, 9.0, 9.0, 9.5, 10.0]
+    ref_times, _ = rk4_matmul_reference(field, IDENTITY, (0.1, 1.0), 0.1)
+    assert integrate_spin(field, IDENTITY, (0.1, 1.0), 0.1).times.tobytes() == ref_times.tobytes()
+
+
+def test_integrate_spin_caps_the_step_count_before_sampling():
+    def field(t):
+        raise AssertionError("field_fn called for a rejected span")
+
+    for dt in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 2)):
+        with pytest.raises(InvalidTimeSpan, match="MAX_STEPS"):
+            integrate_spin(field, IDENTITY, (0.0, 1.0), dt)
+    with pytest.raises(InvalidTimeSpan):
+        integrate_spin(field, IDENTITY, (0.0, math.inf), 0.1)
+    with pytest.raises(ValueError, match="3-vector"):
+        integrate_spin(lambda t: (1.0, 2.0), IDENTITY, (0.0, 1.0), 0.1)
+
+
+def test_field_generator_is_antisymmetric():
+    # ds/dt = -(c/2) (eta . B) s is the product with the pure quaternion
+    # -(c/2)(0, B): zero for a zero field, and orthogonal to s, so the norm
+    # is conserved
     s = Quaternion(0.3, -0.4, 0.5, 0.6)
-    assert spin_ode_rhs([0, 0, 0], s, 1.7).as_array().tolist() == [0, 0, 0, 0]
+    assert quat_mul(Quaternion(0.0, 0.0, 0.0, 0.0), s).as_array().tolist() == [0, 0, 0, 0]
     rng = np.random.default_rng(13)
     for _ in range(50):
         s = Quaternion.from_array(rng.normal(size=4))
-        b = rng.normal(size=3)
-        ds = spin_ode_rhs(b, s, rng.uniform(-2, 2))
+        a = Quaternion(0.0, *(-0.5 * rng.uniform(-2, 2) * rng.normal(size=3)))
+        ds = quat_mul(a, s)
+        assert np.allclose(ds.as_array(), to_eta(a) @ s.as_array(), rtol=0, atol=1e-14)
         assert abs(float(s.as_array() @ ds.as_array())) < 1e-12
 
 
