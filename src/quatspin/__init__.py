@@ -40,7 +40,6 @@ from .emfield import (
     EmTensor,
     FourCurrent,
     FourPotential,
-    GridSpec,
     MaxwellResidual,
     continuity_residual,
     em_tensor,

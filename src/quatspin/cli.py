@@ -18,6 +18,16 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quatspin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -25,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scenario file and write its output table")
     run.add_argument("scenario", help="path to a flat key = value scenario file")
     run.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-    run.add_argument("--threads", type=int, default=None, help="worker pool size for internal sweeps")
+    run.add_argument("--threads", type=_thread_count, default=None, metavar="N",
+                     help="an integer >= 1, ignored: every sweep runs in the calling thread")
     run.add_argument("--format", choices=("csv", "json"), default=None, help="override the scenario's output format")
 
     val = sub.add_parser("validate", help="check a scenario file and report every problem")

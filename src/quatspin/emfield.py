@@ -102,41 +102,6 @@ ZERO_CURRENT = FourCurrent(rho=0.0, j=np.zeros(3))
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform spacetime grid for residual sweeps.
-
-    Interior points keep two cells of clearance on every differentiated
-    axis so that all stencils (including the composed second difference,
-    which reaches +-2h) stay inside the grid.
-    """
-
-    origin: tuple[float, float, float, float]
-    spacing: float
-    dims: tuple[int, int, int, int]
-    c_light: float = 1.0
-
-    def __post_init__(self):
-        if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
-        if any(d < 5 for d in self.dims):
-            raise ValueError("every axis needs at least 5 points")
-
-    def interior_points(self):
-        """Yield (t, x, y, z) for every node at least 2 cells from each face."""
-        ranges = [range(2, d - 2) for d in self.dims]
-        for it in ranges[0]:
-            for ix in ranges[1]:
-                for iy in ranges[2]:
-                    for iz in ranges[3]:
-                        yield (
-                            self.origin[0] + it * self.spacing,
-                            self.origin[1] + ix * self.spacing,
-                            self.origin[2] + iy * self.spacing,
-                            self.origin[3] + iz * self.spacing,
-                        )
-
-
-@dataclass(frozen=True)
 class MaxwellResidual:
     """The four law residuals: div B, Faraday, Ampere, div E - 4 pi rho."""
 

@@ -29,7 +29,7 @@ from .quaternion import ETA_0, ETA_X, ETA_Y, ETA_Z, NonUnitAxis, UNIT_TOL_INPUT
 KIND_ROTATION = "rotation"
 KIND_BOOST = "boost"
 
-_CONSTRAINT_TOL = 1e-12
+_CONSTRAINT_TOL = 1e-12  # scaled by max(1, nu0^2): the terms compared carry round-off at that scale
 
 
 class SuperluminalSpeed(ValueError):
@@ -65,7 +65,7 @@ class LorentzQuat:
             err = abs(self.nu0 * self.nu0 + nsq - 1.0)
         else:
             err = abs(self.nu0 * self.nu0 - nsq - 1.0)
-        if err > _CONSTRAINT_TOL:
+        if not err <= _CONSTRAINT_TOL * max(1.0, self.nu0 * self.nu0):
             raise ValueError(f"{self.kind} constraint violated by {err!r}")
 
     def _vector_coeffs(self) -> np.ndarray:

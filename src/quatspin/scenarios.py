@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +159,9 @@ _SCHEMAS = {
     "lorentz-check": (
         _Field("n_cases", int, required=False, default=1000, check=lambda v: v >= 1, expect=">= 1"),
         _Field("max_generators", int, required=False, default=5, check=lambda v: 1 <= v <= 5, expect="1..5"),
+        # five boosts at rapidity 50 keep the squared field scale finite
         _Field("rapidity_max", float, required=False, default=2.0,
-               check=lambda v: _finite(v) and v > 0, expect="> 0"),
+               check=lambda v: 0 < v <= 50, expect="in (0, 50]"),
     ),
 }
 
@@ -230,17 +230,10 @@ def load_scenario(path: str) -> Scenario:
 # runners
 
 
-def _pmap(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 _TRAJ_COLUMNS = ("step", "t", "s0", "sx", "sy", "sz", "px", "py", "pz", "px_mid", "py_mid", "pz_mid")
 
 
-def _run_pms(scn: Scenario, threads: int):
+def _run_pms(scn: Scenario):
     p = scn.params
     cfg = spin.PmsConfig(n_blocks=p["n_blocks"], xi1=p["xi1"], xi2=p["xi2"], theta=p["theta"])
     p0 = np.array([0.0, 0.0, 1.0])
@@ -254,7 +247,7 @@ def _run_pms(scn: Scenario, threads: int):
     return _TRAJ_COLUMNS, rows, {"closure_distance": closure, "resonant_geometry": float(cfg.is_resonant(1e-9))}
 
 
-def _run_helical(scn: Scenario, threads: int):
+def _run_helical(scn: Scenario):
     p = scn.params
     params = spin.HelicalParams(gamma_width=p["gamma"], delta_detune=p["delta"], omega_drive=p["omega"])
     traj = spin.integrate_spin(spin.helical_field(params), spin.IDENTITY, (0.0, p["t_max"]), p["dt"])
@@ -266,24 +259,15 @@ def _run_helical(scn: Scenario, threads: int):
     return _TRAJ_COLUMNS, rows, {"final_pz": rows[-1][8], "max_norm_drift": drift}
 
 
-def _run_resonance_curve(scn: Scenario, threads: int):
+def _run_resonance_curve(scn: Scenario):
     p = scn.params
-    deltas = np.linspace(p["delta_min"], p["delta_max"], p["n_points"])
-
-    def point(d: float):
-        return (
-            float(d),
-            spin.spin_flip_probability(p["t_pass"], p["gamma"], float(d)),
-            spin.spin_up_probability(p["t_pass"], p["gamma"], float(d)),
-        )
-
-    rows = [list(r) for r in _pmap(point, deltas, threads)]
+    rows = spin.resonance_curve(p["gamma"], p["delta_min"], p["delta_max"], p["n_points"], p["t_pass"]).tolist()
     peak = max(rows, key=lambda r: r[1])
     return ("delta", "p_down", "p_up"), rows, {"peak_p_down": peak[1], "peak_delta": peak[0]}
 
 
 def _em_case(name: str):
-    """Analytic field/source pair and a safe evaluation point for one case."""
+    """Analytic source-free field and a safe evaluation point for one case."""
     if name == "plane-wave":
         # oblique propagation: for an axis-aligned wave the equal-step
         # stencil errors cancel exactly and no convergence order is visible
@@ -292,7 +276,7 @@ def _em_case(name: str):
             a = math.cos(0.6 * x + 0.8 * z - t)
             return emfield.EmFieldSample(e=np.array([0.8, 0.0, -0.6]) * a, b=np.array([0.0, 1.0, 0.0]) * a)
 
-        return fld, None, (0.3, 0.1, 0.2, 0.4)
+        return fld, (0.3, 0.1, 0.2, 0.4)
     if name == "point-charge":
 
         def fld(t, x, y, z):
@@ -300,21 +284,21 @@ def _em_case(name: str):
             r3 = float(r @ r) ** 1.5
             return emfield.EmFieldSample(e=r / r3, b=np.zeros(3))
 
-        return fld, None, (0.0, 0.8, 0.6, 0.5)
+        return fld, (0.0, 0.8, 0.6, 0.5)
 
     def fld(t, x, y, z):
         return emfield.EmFieldSample(e=np.array([1.0, 2.0, 3.0]), b=np.array([4.0, 5.0, 6.0]))
 
-    return fld, None, (0.0, 0.0, 0.0, 0.0)
+    return fld, (0.0, 0.0, 0.0, 0.0)
 
 
-def _run_em_check(scn: Scenario, threads: int):
+def _run_em_check(scn: Scenario):
     p = scn.params
-    fld, src, point = _em_case(p["case"])
+    fld, point = _em_case(p["case"])
     steps = [p["h0"] / 2.0**i for i in range(p["n_levels"])]
 
     def level(h: float):
-        res = emfield.maxwell_residual(fld, src, point, h)
+        res = emfield.maxwell_residual(fld, None, point, h)
         wave = emfield.wave_residual(fld, point, h)
         return [
             ("gauss_b", abs(res.gauss_b)),
@@ -324,11 +308,8 @@ def _run_em_check(scn: Scenario, threads: int):
             ("wave", float(np.max(np.abs(wave)))),
         ]
 
-    tables = _pmap(level, steps, threads)
-    rows = []
-    for h, table in zip(steps, tables):
-        for name, value in table:
-            rows.append([h, name, value])
+    tables = [level(h) for h in steps]
+    rows = [[h, name, value] for h, table in zip(steps, tables) for name, value in table]
     summary = {"max_residual": max(value for table in tables for _, value in table)}
     orders = []
     for coarse, fine in zip(tables[:-1], tables[1:]):
@@ -340,56 +321,38 @@ def _run_em_check(scn: Scenario, threads: int):
     return ("h", "residual_name", "value"), rows, summary
 
 
-def _run_lorentz_check(scn: Scenario, threads: int):
+def _run_lorentz_check(scn: Scenario):
     p = scn.params
     rng = np.random.default_rng(scn.seed)
-    cases = []
+    rows = []
     for i in range(p["n_cases"]):
-        e, b = rng.normal(size=3), rng.normal(size=3)
-        gens = []
+        sample = emfield.EmFieldSample(e=rng.normal(size=3), b=rng.normal(size=3))
+        i1, i2 = emfield.lorentz_invariants(sample)
+        w0, _ = emfield.energy_quadratic(sample)
+        tensor, triple = emfield.em_tensor(sample), lorentz.field_triple(sample)
         for _ in range(int(rng.integers(1, p["max_generators"] + 1))):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             if rng.random() < 0.5:
-                gens.append(lorentz.rotation_generator(axis, float(rng.uniform(0.0, 2.0 * math.pi))))
+                generator, closed_form = lorentz.rotation_generator, lorentz.rotate_field_closed
+                angle = float(rng.uniform(0.0, 2.0 * math.pi))
             else:
-                gens.append(lorentz.boost_generator(axis, float(rng.uniform(-p["rapidity_max"], p["rapidity_max"]))))
-        cases.append((i, e, b, gens))
-
-    def run_case(case):
-        i, e, b, gens = case
-        sample = emfield.EmFieldSample(e=e, b=b)
-        i1, i2 = emfield.lorentz_invariants(sample)
-        w0, _ = emfield.energy_quadratic(sample)
-        tensor = emfield.em_tensor(sample)
-        triple = lorentz.field_triple(sample)
-        for gen in gens:
-            tensor = lorentz.transform_tensor(gen, tensor)
-            if gen.kind == lorentz.KIND_ROTATION:
-                alpha = 2.0 * math.atan2(float(np.linalg.norm(gen.nu)), gen.nu0)
-                axis = gen.nu / np.linalg.norm(gen.nu) if np.linalg.norm(gen.nu) > 0 else np.array([0.0, 0.0, 1.0])
-                triple = lorentz.rotate_field_closed(triple, axis, alpha)
-            else:
-                phi = 2.0 * math.asinh(float(np.linalg.norm(gen.nu)))
-                nrm = float(np.linalg.norm(gen.nu))
-                axis = gen.nu / nrm if nrm > 0 else np.array([0.0, 0.0, 1.0])
-                triple = lorentz.boost_field_closed(triple, axis, phi)
+                generator, closed_form = lorentz.boost_generator, lorentz.boost_field_closed
+                angle = float(rng.uniform(-p["rapidity_max"], p["rapidity_max"]))
+            tensor = lorentz.transform_tensor(generator(axis, angle), tensor)
+            triple = closed_form(triple, axis, angle)
         out = tensor.fields()
         i1p, i2p = emfield.lorentz_invariants(out)
         w0p, _ = emfield.energy_quadratic(out)
         # relative to the quadratic field scale: boosts amplify the fields, and
         # the invariants are recovered only through cancellation at that scale
         scale = max(1.0, w0, w0p)
-        closed_vs_conj = float(np.max(np.abs(triple - lorentz.triple_from_tensor(tensor))))
-        return [
+        rows += [
             [i, "i1_rel_err", abs(i1p - i1) / scale],
             [i, "i2_rel_err", abs(i2p - i2) / scale],
-            [i, "closed_vs_conj", closed_vs_conj],
+            [i, "closed_vs_conj", float(np.max(np.abs(triple - lorentz.triple_from_tensor(tensor))))],
             [i, "w0_change", abs(w0p - w0)],
         ]
-
-    tables = _pmap(run_case, cases, threads)
-    rows = [row for table in tables for row in table]
     by_name = {}
     for _, name, value in rows:
         by_name[name] = max(by_name.get(name, 0.0), value)
@@ -450,13 +413,10 @@ def write_table(path: str, columns, rows, fmt: str):
 def run_scenario(scn: Scenario, out_dir: str = ".", threads: int | None = None) -> RunReport:
     """Execute a validated scenario and write its output table.
 
-    threads bounds the worker pool for the internal sweeps; results are
-    emitted in grid order regardless of completion order, so the output is
-    identical for any thread count.
+    threads is ignored: every sweep runs in the calling thread.
     """
     started = time.perf_counter()
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    columns, rows, summary = _RUNNERS[scn.kind](scn, workers)
+    columns, rows, summary = _RUNNERS[scn.kind](scn)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, scn.output)
     write_table(path, columns, rows, scn.fmt)

@@ -163,7 +163,7 @@ class SpinTrajectory:
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
         norms = np.einsum("ij,ij->i", states, states)
-        if norms.size and np.max(np.abs(norms - 1.0)) > UNIT_TOL_INPUT:
+        if norms.size and not np.max(np.abs(norms - 1.0)) <= UNIT_TOL_INPUT:
             raise ValueError("every state must be unit norm within 1e-9")
         for name, tail in (("polar", (2, 3)), ("mid_states", (4,))):
             value = getattr(self, name)
@@ -234,11 +234,15 @@ def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: flo
     fields = np.array([field_fn(t) for t in sample_times], dtype=float)
     if fields.shape != (len(sample_times), 3):
         raise ValueError(f"field_fn must return a 3-vector, got shape {fields.shape[1:]}")
+    non_finite = ~np.isfinite(fields).all(axis=1)
+    if non_finite.any():
+        raise ValueError(f"field_fn returned a non-finite field at t = {sample_times[int(np.argmax(non_finite))]!r}")
     fields = fields.reshape(-1, 3, 3)
     # a stacked matmul runs the dot kernel of np.linalg.norm, so each angle is bit-exact
     step_angle = h * (np.sqrt((fields[:, 0, None, :] @ fields[:, 0, :, None])[:, 0, 0]) * abs(coupling))
-    if np.any(step_angle > 0.5):
-        i = int(np.argmax(step_angle > 0.5))
+    too_large = ~(step_angle <= 0.5)
+    if too_large.any():
+        i = int(np.argmax(too_large))
         raise StepTooLarge(f"dt * |coupling * B| = {float(step_angle[i])!r} exceeds 0.5 rad "
                            f"at t = {float(starts[i])!r}")
     a1, a2, a3 = np.moveaxis(np.pad(-0.5 * coupling * fields, ((0, 0), (0, 0), (1, 0))), 1, 0)
@@ -267,8 +271,9 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
     be pure.  Every state is renormalized, which only removes round-off.
 
     Raises InvalidTimeSpan for an empty span, a non-positive dt or more than
-    MAX_STEPS steps, and StepTooLarge if any step would rotate the spin by
-    more than 0.5 rad (the first such step is named).
+    MAX_STEPS steps, ValueError if field_fn returns a NaN or inf component,
+    and StepTooLarge if any step would rotate the spin by more than 0.5 rad
+    (the first such sample time or step is named).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (dt > 0.0) or not (t1 > t0):

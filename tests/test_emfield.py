@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from quatspin.emfield import (
     EmTensor,
     FourCurrent,
     FourPotential,
-    GridSpec,
     apply_dirac,
     continuity_residual,
     current_matrix,
@@ -361,23 +361,14 @@ def test_lorentz_invariants_values():
 # grid sweeps
 
 
-def test_grid_spec_validation_and_interior():
-    with pytest.raises(ValueError):
-        GridSpec(origin=(0, 0, 0, 0), spacing=0.0, dims=(5, 5, 5, 5))
-    with pytest.raises(ValueError):
-        GridSpec(origin=(0, 0, 0, 0), spacing=0.1, dims=(4, 5, 5, 5))
-    grid = GridSpec(origin=(0.0, 0.1, 0.2, 0.3), spacing=0.01, dims=(5, 7, 7, 7))
-    pts = list(grid.interior_points())
-    assert len(pts) == 1 * 3 * 3 * 3
-    assert pts[0] == pytest.approx((0.02, 0.12, 0.22, 0.32), abs=1e-15)
-
-
 def test_residual_sweep_is_order_independent():
-    grid = GridSpec(origin=(0.2, 0.0, 0.1, 0.2), spacing=0.02, dims=(5, 6, 6, 6))
-    pts = list(grid.interior_points())
+    h = 0.02
+    origin = (0.2, 0.0, 0.1, 0.2)
+    # the nodes of a 5 x 6 x 6 x 6 grid that lie two cells inside every face
+    pts = [tuple(o + i * h for o, i in zip(origin, idx)) for idx in itertools.product((2,), (2, 3), (2, 3), (2, 3))]
 
     def residual_at(p):
-        return maxwell_residual(oblique_wave, None, p, grid.spacing).max_abs()
+        return maxwell_residual(oblique_wave, None, p, h).max_abs()
 
     forward = [residual_at(p) for p in pts]
     backward = [residual_at(p) for p in reversed(pts)]

@@ -94,6 +94,18 @@ def test_constraint_checked_at_construction():
         LorentzQuat(nu0=1.0, nu=np.zeros(3), kind="shear")
 
 
+def test_boost_constraint_is_relative_to_nu0_squared():
+    # from rapidity ~9 on, 1e-12 is below the float spacing of cosh^2(phi/2)
+    rng = np.random.default_rng(9)
+    for phi in np.linspace(-50.0, 50.0, 201):
+        gen = boost_generator(random_axis(rng), float(phi))
+        assert abs(gen.nu0**2 - float(gen.nu @ gen.nu) - 1.0) <= 1e-12 * gen.nu0**2
+    with pytest.raises(ValueError, match="boost constraint"):
+        LorentzQuat(nu0=1e3, nu=np.array([1e3, 0, 0]), kind=KIND_BOOST)
+    with pytest.raises(ValueError, match="rotation constraint"):
+        LorentzQuat(nu0=math.nan, nu=np.zeros(3), kind=KIND_ROTATION)
+
+
 def test_matrix_realization_satisfies_l_lt_identity():
     rng = np.random.default_rng(32)
     for _ in range(100):

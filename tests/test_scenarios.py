@@ -186,6 +186,21 @@ def test_run_helical(tmp_path):
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
+def test_lorentz_check_accepts_large_rapidities(tmp_path):
+    # an absolute 1e-12 boost constraint rejected this scenario
+    path = write_scenario(tmp_path, "kind = lorentz-check\nrapidity_max = 9\nseed = 1\nn_cases = 1000\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_lorentz_check_rapidity_bound_is_a_schema_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, "kind = lorentz-check\nrapidity_max = 800\nn_cases = 0\n")
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "key 'rapidity_max': value 800.0 must be in (0, 50]" in err and "n_cases" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_deterministic_across_runs_and_threads(tmp_path):
     scn = validate_scenario({"kind": "lorentz-check", "n_cases": 40, "seed": 11})
     blobs = []
@@ -254,8 +269,14 @@ def test_write_table_csv_bytes_match_per_cell_encoder(tmp_path_factory, table):
     rows, width = table
     columns = [f"c{i}" for i in range(width)]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
+    try:
+        expected = reference_csv(columns, rows)
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 encoding: both encoders must refuse it
+        with pytest.raises(UnicodeEncodeError):
+            write_table(str(path), columns, rows, "csv")
+        return
     write_table(str(path), columns, rows, "csv")
-    assert path.read_bytes() == reference_csv(columns, rows)
+    assert path.read_bytes() == expected
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):
@@ -325,6 +346,17 @@ def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, RESONANT_PMS)
     assert main(["run", path]) == 0
     assert (tmp_path / "envout" / "pms.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "two", "1.5"])
+def test_cli_threads_must_be_an_integer_of_at_least_one(tmp_path, capsys, value):
+    path = write_scenario(tmp_path, RESONANT_PMS)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", path, "--out", str(tmp_path / "out"), "--threads", value])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads: must be an integer >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_byte_identical_reruns(tmp_path):

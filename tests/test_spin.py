@@ -333,6 +333,15 @@ def test_integrate_spin_constant_field_matches_axis_angle():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_spin_rejects_non_finite_fields_naming_the_sample_time(bad):
+    with pytest.raises(ValueError, match=r"non-finite field at t = 0\.0$"):
+        integrate_spin(lambda t: (bad, 0.0, 0.0), IDENTITY, (0.0, 1.0), 0.1)
+    # a bad midpoint sample is caught too, although no step starts there
+    with pytest.raises(ValueError, match=r"non-finite field at t = 0\.75$"):
+        integrate_spin(lambda t: (bad if t == 0.75 else 0.1, 0.0, 0.0), IDENTITY, (0.0, 1.0), 0.5)
+
+
 def test_integrate_spin_validation():
     with pytest.raises(InvalidTimeSpan):
         integrate_spin(lambda t: np.zeros(3), IDENTITY, (1.0, 1.0), 0.1)
@@ -397,6 +406,8 @@ def test_spin_trajectory_validation():
         SpinTrajectory(times=np.array([0.0, 0.0]), states=np.array([[1, 0, 0, 0], [1, 0, 0, 0.0]]))
     with pytest.raises(ValueError):
         SpinTrajectory(times=np.array([0.0, 1.0]), states=np.array([[1, 0, 0, 0], [2, 0, 0, 0.0]]))
+    with pytest.raises(ValueError, match="unit norm"):
+        SpinTrajectory(times=np.array([0.0, 1.0]), states=np.array([[1, 0, 0, 0], [math.nan, 0, 0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
