@@ -52,12 +52,6 @@ def _config_error(err: ValueError) -> int:
     return EXIT_CONFIG
 
 
-def _resolve_out_dir(flag: str | None) -> str:
-    if flag:
-        return flag
-    return os.environ.get(OUT_DIR_ENV) or "."
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -86,7 +80,7 @@ def main(argv=None) -> int:
         scenario = dataclasses.replace(scenario, output=output, fmt=args.format)
 
     try:
-        report = run_scenario(scenario, out_dir=_resolve_out_dir(args.out), threads=args.threads)
+        report = run_scenario(scenario, out_dir=args.out or os.environ.get(OUT_DIR_ENV) or ".", threads=args.threads)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

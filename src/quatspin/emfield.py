@@ -47,7 +47,7 @@ class FourPotential:
 
 @dataclass(frozen=True)
 class EmFieldSample:
-    """Electric and magnetic field 3-vectors at one spacetime point."""
+    """Electric and magnetic field 3-vectors at one spacetime point, or equal-shape (..., 3) batches."""
 
     e: np.ndarray
     b: np.ndarray
@@ -55,31 +55,31 @@ class EmFieldSample:
     def __post_init__(self):
         object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.e.shape != (3,) or self.b.shape != (3,):
-            raise ValueError("e and b must be 3-vectors")
+        if self.e.shape[-1:] != (3,) or self.e.shape != self.b.shape:
+            raise ValueError("e and b must be 3-vectors or equal-shape (..., 3) batches")
 
 
 @dataclass(frozen=True)
 class EmTensor:
-    """Complex field triple f_k = B_k - i E_k with its 4x4 matrix view."""
+    """Complex field triple f_k = B_k - i E_k (or a (..., 3) batch) with its 4x4 matrix view."""
 
     f: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "f", np.asarray(self.f, dtype=complex))
-        if self.f.shape != (3,):
-            raise ValueError("f must be a complex 3-vector")
+        if self.f.shape[-1:] != (3,):
+            raise ValueError("f must be a complex 3-vector or a (..., 3) batch")
 
     @property
     def matrix(self) -> np.ndarray:
-        """Zero-diagonal 4x4 realization sum_k (-f_k) eta_k."""
-        return -(self.f[0] * ETA_X + self.f[1] * ETA_Y + self.f[2] * ETA_Z).astype(complex)
+        """Zero-diagonal (..., 4, 4) realization sum_k (-f_k) eta_k."""
+        return -np.tensordot(self.f, (ETA_X, ETA_Y, ETA_Z), axes=1)
 
     @classmethod
     def from_matrix(cls, m) -> "EmTensor":
         """Rebuild the coefficients from the matrix view (lossless: first column)."""
         m = np.asarray(m, dtype=complex)
-        return cls(f=-m[1:4, 0])
+        return cls(f=-m[..., 1:4, 0])
 
     def fields(self) -> EmFieldSample:
         return EmFieldSample(e=-np.imag(self.f), b=np.real(self.f))
@@ -284,22 +284,27 @@ def continuity_residual(source_fn, point, h: float) -> float:
 # quadratic forms
 
 
+def _dot(a, b):
+    """Row-wise a . b over the last axis: a float for one sample, an array for a batch."""
+    d = np.einsum("...i,...i->...", a, b)
+    return float(d) if d.ndim == 0 else d
+
+
 def energy_quadratic(sample: EmFieldSample) -> tuple[float, np.ndarray]:
-    """Energy density W0 = (E^2 + B^2)/2 and flux W = E x B.
+    """Energy density W0 = (E^2 + B^2)/2 and flux W = E x B, row-wise for a batch.
 
     Equals the eta decomposition of (1/2) F F* with entrywise conjugation:
     the eta_0 coefficient is -W0 and the vector coefficients are i W.
     """
     e, b = sample.e, sample.b
-    w0 = 0.5 * float(e @ e + b @ b)
-    return w0, np.cross(e, b)
+    return 0.5 * (_dot(e, e) + _dot(b, b)), np.cross(e, b)
 
 
 def lorentz_invariants(sample: EmFieldSample) -> tuple[float, float]:
-    """The two field invariants I1 = (B^2 - E^2)/2 and I2 = E . B.
+    """The two field invariants I1 = (B^2 - E^2)/2 and I2 = E . B, row-wise for a batch.
 
     (1/2) F^T F is (I1 - i I2) times the identity; both numbers are
     unchanged by every rotation and boost, unlike the energy density.
     """
     e, b = sample.e, sample.b
-    return 0.5 * float(b @ b - e @ e), float(e @ b)
+    return 0.5 * (_dot(b, b) - _dot(e, e)), _dot(e, b)

@@ -8,6 +8,7 @@ and seed reproduce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -53,13 +54,9 @@ class RunReport:
     duration_s: float
 
     def lines(self) -> list[str]:
-        out = [f"kind: {self.scenario.kind}", f"seed: {self.scenario.seed}"]
-        for key in sorted(self.summary):
-            out.append(f"{key}: {self.summary[key]!r}")
-        for path in self.outputs:
-            out.append(f"wrote: {path}")
-        out.append(f"duration_s: {self.duration_s:.3f}")
-        return out
+        summary = [f"{key}: {self.summary[key]!r}" for key in sorted(self.summary)]
+        return [f"kind: {self.scenario.kind}", f"seed: {self.scenario.seed}", *summary,
+                *(f"wrote: {path}" for path in self.outputs), f"duration_s: {self.duration_s:.3f}"]
 
 
 # ---------------------------------------------------------------------------
@@ -324,39 +321,40 @@ def _run_em_check(scn: Scenario):
 def _run_lorentz_check(scn: Scenario):
     p = scn.params
     rng = np.random.default_rng(scn.seed)
-    rows = []
-    for i in range(p["n_cases"]):
-        sample = emfield.EmFieldSample(e=rng.normal(size=3), b=rng.normal(size=3))
-        i1, i2 = emfield.lorentz_invariants(sample)
-        w0, _ = emfield.energy_quadratic(sample)
-        tensor, triple = emfield.em_tensor(sample), lorentz.field_triple(sample)
-        for _ in range(int(rng.integers(1, p["max_generators"] + 1))):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            if rng.random() < 0.5:
-                generator, closed_form = lorentz.rotation_generator, lorentz.rotate_field_closed
-                angle = float(rng.uniform(0.0, 2.0 * math.pi))
-            else:
-                generator, closed_form = lorentz.boost_generator, lorentz.boost_field_closed
-                angle = float(rng.uniform(-p["rapidity_max"], p["rapidity_max"]))
-            tensor = lorentz.transform_tensor(generator(axis, angle), tensor)
-            triple = closed_form(triple, axis, angle)
-        out = tensor.fields()
-        i1p, i2p = emfield.lorentz_invariants(out)
-        w0p, _ = emfield.energy_quadratic(out)
-        # relative to the quadratic field scale: boosts amplify the fields, and
-        # the invariants are recovered only through cancellation at that scale
-        scale = max(1.0, w0, w0p)
-        rows += [
-            [i, "i1_rel_err", abs(i1p - i1) / scale],
-            [i, "i2_rel_err", abs(i2p - i2) / scale],
-            [i, "closed_vs_conj", float(np.max(np.abs(triple - lorentz.triple_from_tensor(tensor))))],
-            [i, "w0_change", abs(w0p - w0)],
-        ]
-    by_name = {}
-    for _, name, value in rows:
-        by_name[name] = max(by_name.get(name, 0.0), value)
-    summary = {f"max_{k}": v for k, v in by_name.items()}
+    n, r = p["n_cases"], p["rapidity_max"]
+    fields, counts, axes, boosts, angles = np.empty((n, 6)), np.empty(n, dtype=int), [], [], []
+    for i in range(n):  # draws only, in the order that fixes the table bytes
+        fields[i] = rng.normal(size=6)  # e, then b: the same stream as two 3-vector draws
+        counts[i] = rng.integers(1, p["max_generators"] + 1)
+        for _ in range(counts[i]):
+            axes.append(rng.normal(size=3))
+            boosts.append(not rng.random() < 0.5)
+            angles.append(rng.uniform(-r, r) if boosts[-1] else rng.uniform(0.0, 2.0 * math.pi))
+    axes, boosts, angles = np.array(axes), np.array(boosts), np.array(angles)
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    sample = emfield.EmFieldSample(e=fields[:, :3], b=fields[:, 3:])
+    i1, i2 = emfield.lorentz_invariants(sample)
+    w0, _ = emfield.energy_quadratic(sample)
+    f, triple = emfield.em_tensor(sample).f, lorentz.field_triple(sample)
+    first = np.cumsum(counts) - counts
+    for j in range(counts.max()):  # step j applies generator j of every case that has one
+        active = counts > j
+        g = first[active] + j
+        nu0, nu = lorentz.generator_batch(axes[g], angles[g], boosts[g])
+        f[active] = lorentz.transform_batch(nu0, nu, boosts[g], f[active])
+        triple[active] = lorentz.closed_form_batch(triple[active], axes[g], angles[g], boosts[g])
+    tensor = emfield.EmTensor(f=f)
+    i1p, i2p = emfield.lorentz_invariants(tensor.fields())
+    w0p, _ = emfield.energy_quadratic(tensor.fields())
+    # relative to the quadratic field scale: boosts amplify the fields, and
+    # the invariants are recovered only through cancellation at that scale;
+    # the two routes to the transformed field differ at its linear scale
+    scale = np.maximum(1.0, np.maximum(w0, w0p))
+    closed = np.max(np.abs(triple - lorentz.triple_from_tensor(tensor)), axis=1) / np.sqrt(scale)
+    table = np.column_stack([np.abs(i1p - i1) / scale, np.abs(i2p - i2) / scale, closed, np.abs(w0p - w0)])
+    names = ("i1_rel_err", "i2_rel_err", "closed_vs_conj", "w0_change")
+    rows = [[i, name, value] for i, values in enumerate(table.tolist()) for name, value in zip(names, values)]
+    summary = {f"max_{name}": float(col.max()) for name, col in zip(names, table.T)}
     return ("case", "name", "value"), rows, summary
 
 
@@ -395,19 +393,26 @@ def _jsonable(value):
 
 
 def write_table(path: str, columns, rows, fmt: str):
-    """Write the table as CSV (comma, LF, UTF-8, header row; rows of equal length) or JSON."""
+    """Write the table as CSV (comma, LF, UTF-8, header row) or JSON, atomically; rows must be of equal length."""
+    cols = list(zip(*rows, strict=True))
     if fmt == "csv":
         # a column of Python floats encodes as _cell would, without the per-cell dispatch
-        encoded = [map(float.__repr__ if set(map(type, col)) == {float} else _cell, col)
-                   for col in zip(*rows, strict=True)]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(",".join(cells) + "\n" for cells in zip(*encoded))
+        encoded = [map(float.__repr__ if set(map(type, col)) == {float} else _cell, col) for col in cols]
+        lines = (",".join(cells) + "\n" for cells in itertools.chain([columns], zip(*encoded)))
     else:
-        doc = {"columns": list(columns), "rows": [[_jsonable(v) for v in row] for row in rows]}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
+        # a column of exact floats, ints and strings is already what _jsonable returns
+        encoded = [col if set(map(type, col)) <= {float, int, str} else map(_jsonable, col) for col in cols]
+        lines = [json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":")) + "\n"]
+    # a temporary file renamed onto path: path holds the whole table or what it held before
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def run_scenario(scn: Scenario, out_dir: str = ".", threads: int | None = None) -> RunReport:
@@ -420,8 +425,6 @@ def run_scenario(scn: Scenario, out_dir: str = ".", threads: int | None = None) 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, scn.output)
     write_table(path, columns, rows, scn.fmt)
-    if not (os.path.exists(path) and os.path.getsize(path) > 0):
-        raise OSError(f"output file {path} was not written")
     return RunReport(
         scenario=scn,
         summary=summary,

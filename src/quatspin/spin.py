@@ -393,42 +393,35 @@ def polarization_evolution(params: HelicalParams, sign: int, p0, t: float) -> np
 # resonance probabilities
 
 
+def _probabilities(t_pass: float, gamma_width: float, delta_detune) -> tuple[np.ndarray, np.ndarray]:
+    """(p_down, p_up) elementwise over detunings; the scalar functions below are one-element views."""
+    if t_pass < 0.0:
+        raise ValueError("t_pass must be >= 0")
+    d = np.asarray(delta_detune, dtype=float)
+    w_sq = gamma_width * gamma_width + d * d
+    zero = w_sq == 0.0
+    w_sq = np.where(zero, 1.0, w_sq)
+    half = 0.5 * t_pass * np.sqrt(w_sq)
+    g_sq = gamma_width * gamma_width / w_sq
+    return (np.where(zero, 0.0, g_sq * np.sin(half) ** 2),
+            np.where(zero, 1.0, g_sq * np.cos(half) ** 2 + d * d / w_sq))
+
+
 def spin_flip_probability(t_pass: float, gamma_width: float, delta_detune: float) -> float:
     """Probability of the spin-down state after passage time t_pass.
 
     G^2/(G^2 + D^2) * sin^2((t/2) sqrt(G^2 + D^2)); the degenerate case
     G = D = 0 is the continuous limit 0 (no field, no flip).
     """
-    if t_pass < 0.0:
-        raise ValueError("t_pass must be >= 0")
-    w_sq = gamma_width * gamma_width + delta_detune * delta_detune
-    if w_sq == 0.0:
-        return 0.0
-    w = math.sqrt(w_sq)
-    amp = gamma_width * gamma_width / w_sq
-    return amp * math.sin(0.5 * t_pass * w) ** 2
+    return float(_probabilities(t_pass, gamma_width, delta_detune)[0])
 
 
 def spin_up_probability(t_pass: float, gamma_width: float, delta_detune: float) -> float:
     """Complementary spin-up probability; flip + up = 1 identically."""
-    if t_pass < 0.0:
-        raise ValueError("t_pass must be >= 0")
-    w_sq = gamma_width * gamma_width + delta_detune * delta_detune
-    if w_sq == 0.0:
-        return 1.0
-    w = math.sqrt(w_sq)
-    g_sq = gamma_width * gamma_width / w_sq
-    d_sq = delta_detune * delta_detune / w_sq
-    return g_sq * math.cos(0.5 * t_pass * w) ** 2 + d_sq
+    return float(_probabilities(t_pass, gamma_width, delta_detune)[1])
 
 
-def resonance_curve(
-    gamma_width: float,
-    delta_min: float,
-    delta_max: float,
-    n_points: int,
-    t_pass: float,
-) -> np.ndarray:
+def resonance_curve(gamma_width: float, delta_min: float, delta_max: float, n_points: int, t_pass: float) -> np.ndarray:
     """Rows (delta, p_down, p_up) on a uniform detuning grid.
 
     The curve is even in delta; at t_pass = pi / gamma_width the peak value
@@ -439,9 +432,4 @@ def resonance_curve(
     if not delta_max > delta_min:
         raise EmptyRange("need delta_max > delta_min")
     deltas = np.linspace(delta_min, delta_max, n_points)
-    rows = np.empty((n_points, 3))
-    for i, d in enumerate(deltas):
-        rows[i, 0] = d
-        rows[i, 1] = spin_flip_probability(t_pass, gamma_width, d)
-        rows[i, 2] = spin_up_probability(t_pass, gamma_width, d)
-    return rows
+    return np.column_stack([deltas, *_probabilities(t_pass, gamma_width, deltas)])

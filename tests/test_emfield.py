@@ -357,6 +357,28 @@ def test_lorentz_invariants_values():
     assert i1 == 0.5 and i2 == 0.0
 
 
+def test_batched_samples_match_row_by_row():
+    rng = np.random.default_rng(22)
+    e, b = rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 4, 3))
+    batch = EmFieldSample(e=e, b=b)
+    i1, i2 = lorentz_invariants(batch)
+    w0, flux = energy_quadratic(batch)
+    tensor = em_tensor(batch)
+    assert i1.shape == i2.shape == w0.shape == (5, 4) and flux.shape == tensor.f.shape == (5, 4, 3)
+    m = tensor.matrix
+    assert m.shape == (5, 4, 4, 4) and np.array_equal(EmTensor.from_matrix(m).f, tensor.f)
+    for idx in np.ndindex(5, 4):
+        one = EmFieldSample(e=e[idx], b=b[idx])
+        assert isinstance(lorentz_invariants(one)[0], float) and isinstance(energy_quadratic(one)[0], float)
+        assert (i1[idx], i2[idx]) == lorentz_invariants(one)
+        assert w0[idx] == energy_quadratic(one)[0] and np.array_equal(flux[idx], energy_quadratic(one)[1])
+        assert np.array_equal(m[idx], em_tensor(one).matrix)
+    with pytest.raises(ValueError):
+        EmFieldSample(e=e, b=b[0])
+    with pytest.raises(ValueError):
+        EmTensor(f=np.zeros((2, 4)))
+
+
 # ---------------------------------------------------------------------------
 # grid sweeps
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from quatspin.emfield import EmFieldSample, em_tensor, energy_quadratic, lorentz_invariants
+from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
 from quatspin.lorentz import (
     KIND_BOOST,
     KIND_ROTATION,
@@ -12,11 +15,14 @@ from quatspin.lorentz import (
     boost_field_closed,
     boost_from_velocity,
     boost_generator,
+    closed_form_batch,
     eb_boost,
     field_triple,
+    generator_batch,
     rotate_field_closed,
     rotation_generator,
     tensor_from_triple,
+    transform_batch,
     transform_tensor,
     triple_from_tensor,
     triple_to_fields,
@@ -245,3 +251,83 @@ def test_triple_adapters_round_trip():
     back = triple_to_fields(triple)
     assert np.array_equal(back.e, sample.e)
     assert np.array_equal(back.b, sample.b)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels
+
+N_ROWS = 6
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+generators = st.tuples(
+    arrays(float, (N_ROWS, 3), elements=unit).filter(lambda m: np.all(np.linalg.norm(m, axis=1) > 1e-3)).map(
+        lambda m: m / np.linalg.norm(m, axis=1, keepdims=True)),
+    arrays(float, N_ROWS, elements=st.floats(-6.0, 6.0, allow_nan=False)),
+    arrays(bool, N_ROWS),
+)
+triples = st.tuples(arrays(float, (N_ROWS, 3), elements=st.floats(-1e3, 1e3)),
+                    arrays(float, (N_ROWS, 3), elements=st.floats(-1e3, 1e3))).map(lambda p: p[0] + 1j * p[1])
+
+
+def scalar_generator(axis, angle, boost):
+    return (boost_generator if boost else rotation_generator)(axis, float(angle))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators, triples)
+def test_transform_batch_equals_matrix_conjugation(gens, f):
+    axes, angles, boost = gens
+    nu0, nu = generator_batch(axes, angles, boost)
+    got = transform_batch(nu0, nu, boost, f)
+    assert got.shape == (N_ROWS, 3)
+    for i in range(N_ROWS):
+        gen = scalar_generator(axes[i], angles[i], boost[i])
+        assert gen.kind == (KIND_BOOST if boost[i] else KIND_ROTATION)
+        assert gen.nu0 == nu0[i] and np.array_equal(gen.nu, nu[i])
+        # the first column of L F L^T holds -f'
+        want = -(gen.matrix @ EmTensor(f=f[i]).matrix @ gen.matrix_t)[1:4, 0]
+        scale = (gen.nu0**2 + float(gen.nu @ gen.nu)) * max(1.0, float(np.max(np.abs(f[i]))))
+        assert np.max(np.abs(got[i] - want)) <= 1e-14 * scale
+        assert np.array_equal(transform_tensor(gen, EmTensor(f=f[i])).f, got[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators, triples)
+def test_closed_form_batch_equals_the_scalar_closed_forms(gens, F):
+    axes, angles, boost = gens
+    got = closed_form_batch(F, axes, angles, boost)
+    for i in range(N_ROWS):
+        closed = boost_field_closed if boost[i] else rotate_field_closed
+        assert np.array_equal(closed(F[i], axes[i], angles[i]), got[i])
+    # a mask of one kind is what the kind's own function computes
+    assert np.array_equal(closed_form_batch(F, axes, angles, False), rotate_field_closed(F, axes, angles))
+    assert np.array_equal(closed_form_batch(F, axes, angles, True), boost_field_closed(F, axes, angles))
+
+
+def test_batched_kernels_check_every_row():
+    axes = np.tile(ZHAT, (4, 1))
+    axes[2] = [0.0, 0.0, 1.5]
+    axes[3] = [0.0, 0.0, 2.0]
+    for call in (lambda: generator_batch(axes, np.zeros(4), False),
+                 lambda: closed_form_batch(np.zeros((4, 3)), axes, np.zeros(4), True)):
+        with pytest.raises(NonUnitAxis, match=r"\|m\| = 1\.5 is not 1"):
+            call()
+    with pytest.raises(NonUnitAxis, match="3-vector"):
+        generator_batch(np.ones((4, 2)), np.zeros(4), False)
+    # a NaN axis is not unit length either
+    with pytest.raises(NonUnitAxis):
+        rotation_generator([math.nan, 0.0, 0.0], 0.3)
+    # the constraint check names the first bad row's kind and error
+    angles = np.array([0.1, 0.2, math.nan, 0.4])
+    with pytest.raises(ValueError, match="^boost constraint violated by nan$"):
+        generator_batch(np.tile(ZHAT, (4, 1)), angles, np.array([False, False, True, False]))
+    with pytest.raises(ValueError, match="^rotation constraint violated by nan$"):
+        generator_batch(np.tile(ZHAT, (4, 1)), angles, False)
+    # an overflowing boost or an infinite angle raises instead of returning inf or NaN
+    with pytest.raises(ArithmeticError):
+        boost_generator(ZHAT, 1500.0)
+    with pytest.raises(ArithmeticError):
+        boost_field_closed(np.ones(3, dtype=complex), ZHAT, 800.0)
+    with pytest.raises((ArithmeticError, ValueError)):
+        rotate_field_closed(np.ones(3, dtype=complex), ZHAT, math.inf)
+    with pytest.raises(ValueError, match=r"^boost constraint violated by 2\.0$"):
+        LorentzQuat(nu0=1.0, nu=np.array([1.0, 1.0, 0.0]), kind=KIND_BOOST)

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 import quatspin
 from quatspin.cli import main
+from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
+from quatspin.lorentz import boost_generator, field_triple, rotation_generator
 from quatspin.scenarios import (
     ConfigError,
     parse_scenario_text,
@@ -173,6 +177,70 @@ def test_run_lorentz_check(tmp_path):
     assert report.summary["max_w0_change"] > 1e-3
 
 
+def reference_lorentz_rows(n_cases, max_generators, rapidity_max, seed):
+    """The lorentz-check runner as a per-case loop: 4x4 matrix conjugation and scalar closed forms."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n_cases):
+        sample = EmFieldSample(e=rng.normal(size=3), b=rng.normal(size=3))
+        i1, i2 = lorentz_invariants(sample)
+        w0, _ = energy_quadratic(sample)
+        tensor, triple = em_tensor(sample), field_triple(sample)
+        for _ in range(int(rng.integers(1, max_generators + 1))):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            if rng.random() < 0.5:
+                angle = float(rng.uniform(0.0, 2.0 * math.pi))
+                gen, c, s = rotation_generator(axis, angle), math.cos(angle), math.sin(angle)
+            else:
+                angle = float(rng.uniform(-rapidity_max, rapidity_max))
+                gen, c, s = boost_generator(axis, angle), math.cosh(angle), 1j * math.sinh(angle)
+            tensor = EmTensor.from_matrix(gen.matrix @ tensor.matrix @ gen.matrix_t)
+            triple = triple * c + axis * (axis @ triple) * (1.0 - c) - np.cross(axis, triple) * s
+        out = tensor.fields()
+        i1p, i2p = lorentz_invariants(out)
+        w0p, _ = energy_quadratic(out)
+        scale = max(1.0, w0, w0p)
+        rows += [
+            [i, "i1_rel_err", abs(i1p - i1) / scale],
+            [i, "i2_rel_err", abs(i2p - i2) / scale],
+            [i, "closed_vs_conj", float(np.max(np.abs(triple + tensor.f))) / math.sqrt(scale)],
+            [i, "w0_change", abs(w0p - w0)],
+        ]
+    return rows
+
+
+# the batched runner and the per-case loop round differently; the residual
+# columns agree to these absolute bounds and w0_change to 1e-12 relative
+LORENTZ_TOL = {"i1_rel_err": 1e-13, "i2_rel_err": 1e-13, "closed_vs_conj": 1e-11}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 25), st.integers(1, 5), st.floats(0.0, 50.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_batched_lorentz_runner_matches_the_per_case_loop(tmp_path_factory, n_cases, max_generators, rapidity_max, seed):
+    scn = validate_scenario({"kind": "lorentz-check", "n_cases": n_cases, "max_generators": max_generators,
+                             "rapidity_max": rapidity_max, "seed": seed, "format": "json"})
+    report = run_scenario(scn, out_dir=str(tmp_path_factory.mktemp("lorentz")))
+    with open(report.outputs[0], encoding="utf-8") as fh:
+        rows = json.load(fh)["rows"]
+    want = reference_lorentz_rows(n_cases, max_generators, rapidity_max, seed)
+    assert [row[:2] for row in rows] == [row[:2] for row in want]
+    for (case, name, got), (_, _, value) in zip(rows, want):
+        tol = LORENTZ_TOL.get(name, 1e-12 * max(1.0, value))
+        assert abs(got - value) <= tol, (case, name, got, value)
+    for name in ("i1_rel_err", "i2_rel_err", "closed_vs_conj", "w0_change"):
+        assert report.summary[f"max_{name}"] == max(row[2] for row in rows if row[1] == name)
+
+
+@pytest.mark.parametrize("rapidity_max", [9.0, 50.0])
+def test_closed_vs_conj_is_relative_to_the_linear_field_scale(tmp_path, rapidity_max):
+    # as an absolute difference it read 3.1e-3 at rapidity 9 and 4.9e57 at 50
+    scn = validate_scenario({"kind": "lorentz-check", "n_cases": 1000, "rapidity_max": rapidity_max, "seed": 1})
+    summary = run_scenario(scn, out_dir=str(tmp_path)).summary
+    assert summary["max_closed_vs_conj"] < 1e-10
+    assert summary["max_i1_rel_err"] < 1e-10 and summary["max_i2_rel_err"] < 1e-10
+
+
 def test_run_helical(tmp_path):
     scn = validate_scenario(
         {"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.0, "t_max": 50.0, "dt": 0.05}
@@ -277,6 +345,54 @@ def test_write_table_csv_bytes_match_per_cell_encoder(tmp_path_factory, table):
         return
     write_table(str(path), columns, rows, "csv")
     assert path.read_bytes() == expected
+
+
+def reference_json(columns, rows) -> bytes:
+    """The JSON encoder as it was before columns were typed: one dispatch per cell, streamed."""
+
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        return float(value)
+
+    buf = io.StringIO()
+    json.dump({"columns": list(columns), "rows": [[cell(v) for v in row] for row in rows]}, buf, separators=(",", ":"))
+    return (buf.getvalue() + "\n").encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.one_of(st.lists(st.floats(), min_size=width, max_size=width),
+                       st.lists(st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=5)),
+                                min_size=width, max_size=width),
+                       st.lists(cell_values | st.text(max_size=5), min_size=width, max_size=width)), max_size=6),
+    st.just(width))))
+def test_write_table_json_bytes_match_per_cell_encoder(tmp_path_factory, table):
+    rows, width = table
+    columns = [f"c{i}" for i in range(width)]
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    write_table(str(path), columns, rows, "json")
+    assert path.read_bytes() == reference_json(columns, rows)
+
+
+def test_write_table_is_atomic(tmp_path):
+    target = tmp_path / "t.csv"
+    # a lone surrogate has no UTF-8 encoding: the CSV encode fails part-way through the table
+    with pytest.raises(UnicodeEncodeError):
+        write_table(str(target), ("a", "b"), [[1.0, "x"], [2.0, "\ud800"]], "csv")
+    assert list(tmp_path.iterdir()) == []
+    target.write_bytes(b"kept\n")
+    failing = [("csv", [[1.0, "x"], [2.0, "\ud800"]]), ("json", [[1.0, object()]]), ("csv", [[1.0, 2.0], [3.0]])]
+    for fmt, rows in failing:
+        with pytest.raises((UnicodeEncodeError, TypeError, ValueError)):
+            write_table(str(target), ("a", "b"), rows, fmt)
+        assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"kept\n"
+    write_table(str(target), ("a", "b"), [[1, 0.5]], "csv")
+    assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"a,b\n1,0.5\n"
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):
@@ -425,3 +541,36 @@ def test_cli_item4_inputs_exit_2_or_3_without_traceback(tmp_path, name):
     # nothing written anywhere but --out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
     assert sorted(p.name for p in work.iterdir()) in (["scn.txt"], ["out", "scn.txt"])
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+RESONANT_CLOSURE = 0.0514861113044685
+# each shipped scenario's self-check, at the bounds of its kind's runner and acceptance tests
+SELF_CHECKS = {
+    "em_plane_wave.scn": lambda s: s["min_order"] > 1.8,
+    "helical_ring.scn": lambda s: s["max_norm_drift"] < 1e-9,
+    "lorentz_sweep.scn": lambda s: s["max_i1_rel_err"] < 1e-10 and s["max_i2_rel_err"] < 1e-10
+    and s["max_closed_vs_conj"] < 1e-10 and s["max_w0_change"] > 1e-3,
+    "pms_detuned.scn": lambda s: s["closure_distance"] > RESONANT_CLOSURE,
+    "pms_fine.scn": lambda s: s["closure_distance"] < RESONANT_CLOSURE,
+    "pms_resonant.scn": lambda s: abs(s["closure_distance"] - RESONANT_CLOSURE) <= 1e-9 and s["resonant_geometry"] == 1.0,
+    "resonance_curve.scn": lambda s: abs(s["peak_p_down"] - 1.0) <= 1e-12 and abs(s["peak_delta"]) < 1e-12,
+}
+
+
+def test_every_shipped_scenario_has_a_self_check():
+    assert sorted(SELF_CHECKS) == sorted(f for f in os.listdir(SCENARIO_DIR) if f.endswith(".scn"))
+
+
+@pytest.mark.parametrize("name", sorted(SELF_CHECKS))
+def test_shipped_scenario_runs_reproducibly_and_passes_its_self_check(tmp_path, capsys, name):
+    blobs = []
+    for run in ("r1", "r2"):
+        assert main(["run", os.path.join(SCENARIO_DIR, name), "--out", str(tmp_path / run)]) == 0
+        report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        summary = {key: float(value) for key, value in report.items() if key not in ("kind", "seed", "wrote", "duration_s")}
+        assert SELF_CHECKS[name](summary), summary
+        assert os.listdir(tmp_path / run) == [os.path.basename(report["wrote"])]
+        with open(report["wrote"], "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
