@@ -11,7 +11,8 @@ import dataclasses
 import os
 import sys
 
-from .scenarios import KINDS, OUT_DIR_ENV, ConfigError, load_scenario, run_scenario
+# the schema needs only the standard library; numpy comes with the runners, once a scenario has validated
+from .schema import KINDS, OUT_DIR_ENV, ConfigError, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +79,8 @@ def main(argv=None) -> int:
         if dot and ext in ("csv", "json"):
             output = f"{stem}.{args.format}"
         scenario = dataclasses.replace(scenario, output=output, fmt=args.format)
+
+    from .scenarios import run_scenario
 
     try:
         report = run_scenario(scenario, out_dir=args.out or os.environ.get(OUT_DIR_ENV) or ".", threads=args.threads)

@@ -187,7 +187,7 @@ def from_axis_angle(axis, xi: float) -> Quaternion:
     if b.shape != (3,):
         raise NonUnitAxis(f"axis must be a 3-vector, got shape {b.shape}")
     n = float(np.linalg.norm(b))
-    if abs(n - 1.0) > UNIT_TOL_INPUT:
+    if not abs(n - 1.0) <= UNIT_TOL_INPUT:
         raise NonUnitAxis(f"|axis| = {n!r} is not 1 within {UNIT_TOL_INPUT}")
     b = b / n
     half = 0.5 * xi

@@ -1,9 +1,8 @@
-"""Declarative scenario runner behind the command-line front end.
+"""Scenario runners behind the command-line front end.
 
-A scenario is one flat key = value file (``#`` comments allowed) naming a
-kind plus its parameters; running one produces a single plot-ready CSV or
-JSON table and a summary report.  Output is deterministic: a fixed scenario
-and seed reproduce byte-identical files.
+Running a scenario validated by ``schema`` produces a single plot-ready CSV
+or JSON table and a summary report.  Output is deterministic: a fixed
+scenario and seed reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,29 +18,8 @@ import numpy as np
 
 from . import emfield, lorentz, spin
 from .quaternion import rotate_batch
-
-KINDS = ("pms", "helical", "resonance-curve", "em-check", "lorentz-check")
-EM_CASES = ("plane-wave", "point-charge", "constant")
-OUT_DIR_ENV = "QUATSPIN_OUT_DIR"
-
-
-class ConfigError(ValueError):
-    """Invalid scenario document; carries every violation, not just the first."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Validated scenario: kind, typed params, output name/format, sweep seed."""
-
-    kind: str
-    params: dict
-    seed: int
-    output: str
-    fmt: str
+# load_scenario is bound here too, so that callers load and run through this one module
+from .schema import Scenario, load_scenario  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -57,170 +35,6 @@ class RunReport:
         summary = [f"{key}: {self.summary[key]!r}" for key in sorted(self.summary)]
         return [f"kind: {self.scenario.kind}", f"seed: {self.scenario.seed}", *summary,
                 *(f"wrote: {path}" for path in self.outputs), f"duration_s: {self.duration_s:.3f}"]
-
-
-# ---------------------------------------------------------------------------
-# parsing and validation
-
-
-def parse_scenario_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines into a raw string-keyed dict."""
-    raw = {}
-    errors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if not key:
-            errors.append(f"line {lineno}: empty key")
-            continue
-        if key in raw:
-            errors.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        raw[key] = _parse_value(value)
-    if errors:
-        raise ConfigError(errors)
-    return raw
-
-
-def _parse_value(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-@dataclass(frozen=True)
-class _Field:
-    name: str
-    kind: type
-    required: bool = True
-    default: object = None
-    check: object = None
-    expect: str = ""
-
-
-def _finite(x):
-    return math.isfinite(x)
-
-
-_COMMON = (
-    _Field("seed", int, required=False, default=0),
-    # a directory part could put the table outside the output directory; empty selects the default name
-    _Field("output", str, required=False, default=None,
-           check=lambda v: v == "" or (v not in (".", "..") and "/" not in v and "\\" not in v),
-           expect="a bare file name (no directory part, not '.' or '..')"),
-    _Field("format", str, required=False, default="csv", check=lambda v: v in ("csv", "json"),
-           expect="one of csv, json"),
-)
-
-_SCHEMAS = {
-    "pms": (
-        _Field("xi1", float, check=_finite, expect="finite"),
-        _Field("xi2", float, check=_finite, expect="finite"),
-        _Field("theta", float, check=_finite, expect="finite"),
-        _Field("n_blocks", int, check=lambda v: v >= 0, expect=">= 0"),
-    ),
-    "helical": (
-        _Field("gamma", float, check=lambda v: _finite(v) and v >= 0, expect="finite and >= 0"),
-        _Field("delta", float, check=_finite, expect="finite"),
-        _Field("omega", float, check=_finite, expect="finite"),
-        _Field("t_max", float, check=lambda v: _finite(v) and v > 0, expect="> 0"),
-        _Field("dt", float, check=lambda v: _finite(v) and v > 0, expect="> 0"),
-        _Field("sign", int, required=False, default=1, check=lambda v: v in (1, -1), expect="1 or -1"),
-    ),
-    "resonance-curve": (
-        _Field("gamma", float, check=lambda v: _finite(v) and v >= 0, expect="finite and >= 0"),
-        _Field("delta_min", float, check=_finite, expect="finite"),
-        _Field("delta_max", float, check=_finite, expect="finite"),
-        _Field("n_points", int, check=lambda v: v >= 2, expect=">= 2"),
-        _Field("t_pass", float, check=lambda v: _finite(v) and v >= 0, expect=">= 0"),
-    ),
-    "em-check": (
-        _Field("case", str, check=lambda v: v in EM_CASES, expect="one of " + ", ".join(EM_CASES)),
-        _Field("h0", float, required=False, default=0.02, check=lambda v: _finite(v) and v > 0, expect="> 0"),
-        _Field("n_levels", int, required=False, default=3, check=lambda v: 1 <= v <= 12, expect="1..12"),
-    ),
-    "lorentz-check": (
-        _Field("n_cases", int, required=False, default=1000, check=lambda v: v >= 1, expect=">= 1"),
-        _Field("max_generators", int, required=False, default=5, check=lambda v: 1 <= v <= 5, expect="1..5"),
-        # five boosts at rapidity 50 keep the squared field scale finite
-        _Field("rapidity_max", float, required=False, default=2.0,
-               check=lambda v: 0 < v <= 50, expect="in (0, 50]"),
-    ),
-}
-
-
-def _coerce(field: _Field, value):
-    if field.kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, bool) and field.kind is not bool:
-        return None
-    if not isinstance(value, field.kind):
-        return None
-    return value
-
-
-def validate_scenario(raw: dict) -> Scenario:
-    """Type and range-check a raw document; raises ConfigError naming every problem."""
-    errors = []
-    kind = raw.get("kind")
-    if kind is None:
-        errors.append("missing required key 'kind'")
-    elif kind not in KINDS:
-        errors.append(f"unknown kind {kind!r}; allowed kinds: {', '.join(KINDS)}")
-
-    fields = _COMMON + _SCHEMAS.get(kind, ())
-    known = {"kind"} | {f.name for f in fields}
-    for key in sorted(raw):
-        if key not in known:
-            errors.append(f"unknown key {key!r}")
-
-    values = {}
-    for f in fields:
-        if f.name not in raw:
-            if f.required:
-                errors.append(f"missing required key {f.name!r}")
-            else:
-                values[f.name] = f.default
-            continue
-        value = _coerce(f, raw[f.name])
-        if value is None:
-            errors.append(f"key {f.name!r}: expected {f.kind.__name__}, got {raw[f.name]!r}")
-            continue
-        if f.check is not None and not f.check(value):
-            errors.append(f"key {f.name!r}: value {value!r} must be {f.expect}")
-            continue
-        values[f.name] = value
-
-    if kind == "resonance-curve" and "delta_min" in values and "delta_max" in values:
-        if not values["delta_max"] > values["delta_min"]:
-            errors.append("key 'delta_max': must be greater than delta_min")
-
-    if errors:
-        raise ConfigError(errors)
-
-    fmt = values.pop("format")
-    seed = values.pop("seed")
-    output = values.pop("output") or f"{kind}.{fmt}"
-    return Scenario(kind=kind, params=values, seed=seed, output=output, fmt=fmt)
-
-
-def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_scenario(parse_scenario_text(fh.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +196,10 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
+def _non_finite(value) -> bool:
+    return isinstance(value, (float, np.floating)) and not math.isfinite(value)
+
+
 def _jsonable(value):
     if isinstance(value, str):
         return value
@@ -402,7 +220,15 @@ def write_table(path: str, columns, rows, fmt: str):
     else:
         # a column of exact floats, ints and strings is already what _jsonable returns
         encoded = [col if set(map(type, col)) <= {float, int, str} else map(_jsonable, col) for col in cols]
-        lines = [json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":")) + "\n"]
+        try:  # RFC 8259 has no NaN or Infinity
+            doc = json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":"),
+                             allow_nan=False)
+        except ValueError:
+            bad = next((name for name, col in zip(columns, cols) if any(map(_non_finite, col))), None)
+            if bad is None:
+                raise
+            raise ValueError(f"column {bad!r} holds a NaN or infinite value, which JSON cannot encode") from None
+        lines = [doc + "\n"]
     # a temporary file renamed onto path: path holds the whole table or what it held before
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")

@@ -67,7 +67,7 @@ def _unit_polarization(p0) -> np.ndarray:
     if p.shape != (3,):
         raise NonUnitPolarization(f"polarization must be a 3-vector, got shape {p.shape}")
     n = float(np.linalg.norm(p))
-    if abs(n - 1.0) > UNIT_TOL_INPUT:
+    if not abs(n - 1.0) <= UNIT_TOL_INPUT:
         raise NonUnitPolarization(f"|P| = {n!r} is not 1 within {UNIT_TOL_INPUT}")
     return p
 

@@ -146,6 +146,12 @@ def test_from_axis_angle():
         from_axis_angle([0, 1, 1], 0.3)
 
 
+@pytest.mark.parametrize("axis", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]])
+def test_from_axis_angle_rejects_non_finite_axis(axis):
+    with pytest.raises(NonUnitAxis):
+        from_axis_angle(axis, 0.3)
+
+
 def test_precession_angle():
     assert precession_angle([0.0, 0.0, 0.0], 2.7, 1.0) == 0.0
     assert precession_angle([0, 0, 2.0], 1.0, 0.5) == -1.0

@@ -14,13 +14,8 @@ import quatspin
 from quatspin.cli import main
 from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
 from quatspin.lorentz import boost_generator, field_triple, rotation_generator
-from quatspin.scenarios import (
-    ConfigError,
-    parse_scenario_text,
-    run_scenario,
-    validate_scenario,
-    write_table,
-)
+from quatspin.scenarios import run_scenario, write_table
+from quatspin.schema import ConfigError, parse_scenario_text, validate_scenario
 
 RESONANT_PMS = """
 kind = pms
@@ -375,8 +370,16 @@ def test_write_table_json_bytes_match_per_cell_encoder(tmp_path_factory, table):
     rows, width = table
     columns = [f"c{i}" for i in range(width)]
     path = tmp_path_factory.mktemp("json") / "t.json"
+    expected = reference_json(columns, rows)
+    cells = [value for row in json.loads(expected)["rows"] for value in row]
+    if not all(math.isfinite(value) for value in cells if isinstance(value, float)):
+        # the reference writes bare NaN/Infinity tokens, which RFC 8259 does not allow: write_table refuses
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            write_table(str(path), columns, rows, "json")
+        assert list(path.parent.iterdir()) == []
+        return
     write_table(str(path), columns, rows, "json")
-    assert path.read_bytes() == reference_json(columns, rows)
+    assert path.read_bytes() == expected
 
 
 def test_write_table_is_atomic(tmp_path):
@@ -386,13 +389,23 @@ def test_write_table_is_atomic(tmp_path):
         write_table(str(target), ("a", "b"), [[1.0, "x"], [2.0, "\ud800"]], "csv")
     assert list(tmp_path.iterdir()) == []
     target.write_bytes(b"kept\n")
-    failing = [("csv", [[1.0, "x"], [2.0, "\ud800"]]), ("json", [[1.0, object()]]), ("csv", [[1.0, 2.0], [3.0]])]
+    failing = [("csv", [[1.0, "x"], [2.0, "\ud800"]]), ("json", [[1.0, object()]]), ("csv", [[1.0, 2.0], [3.0]]),
+               ("json", [[1.0, math.nan]])]
     for fmt, rows in failing:
         with pytest.raises((UnicodeEncodeError, TypeError, ValueError)):
             write_table(str(target), ("a", "b"), rows, fmt)
         assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"kept\n"
     write_table(str(target), ("a", "b"), [[1, 0.5]], "csv")
     assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"a,b\n1,0.5\n"
+
+
+def test_write_table_json_names_the_first_non_finite_column(tmp_path):
+    rows = [[np.float64(-math.inf), 2, "x", 0.5], [np.float64(0.5), 3, "y", math.inf], [2.0, 4, "z", math.nan]]
+    with pytest.raises(ValueError, match="column 'a' holds a NaN or infinite value"):
+        write_table(str(tmp_path / "t.json"), ("a", "b", "c", "d"), rows, "json")
+    with pytest.raises(ValueError, match="column 'd' holds"):
+        write_table(str(tmp_path / "t.json"), ("a", "b", "c", "d"), rows[1:], "json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):
@@ -455,6 +468,14 @@ def test_cli_run_format_override(tmp_path):
     path = write_scenario(tmp_path, RESONANT_PMS)
     assert main(["run", path, "--out", str(tmp_path / "out"), "--format", "json"]) == 0
     assert (tmp_path / "out" / "pms.json").exists()
+
+
+def test_cli_non_finite_json_table_is_a_config_error(tmp_path, capsys):
+    # the probabilities of so wide a resonance are NaN
+    path = write_scenario(tmp_path, RESONANT_CURVE.replace("gamma = 0.04", "gamma = 1e200") + "format = json\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert "error: ValueError: column 'p_down' holds a NaN or infinite value" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):

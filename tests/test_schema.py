@@ -1,0 +1,201 @@
+import importlib
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import quatspin
+from quatspin.scenarios import run_scenario
+from quatspin.schema import ConfigError, validate_scenario
+from quatspin.spin import IDENTITY, HelicalParams, StepTooLarge, helical_field, integrate_spin
+
+HELICAL = {"kind": "helical", "gamma": 0.04, "delta": 0.0, "omega": 0.02, "t_max": 10.0, "dt": 0.1}
+RATE_ERROR = "key 'dt': the first step turns the spin by"
+
+
+def errors_of(doc) -> list[str]:
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(doc)
+    return err.value.errors
+
+
+# ---------------------------------------------------------------------------
+# helical checks and size bounds
+
+
+def test_helical_degenerate_is_a_schema_error_listed_with_the_others():
+    errors = errors_of({**HELICAL, "gamma": 0.0, "delta": 0.0, "sign": 2})
+    assert errors == ["key 'sign': value 2 must be 1 or -1", "keys 'gamma' and 'delta': cannot both be 0"]
+    validate_scenario({**HELICAL, "gamma": 0.0, "delta": 0.1})
+    validate_scenario({**HELICAL, "gamma": 0.1, "delta": 0.0})
+
+
+def test_helical_first_step_angle_is_a_schema_error():
+    # the step-too-large input: 0.4 * hypot(0.5, 2.0) = 0.82 rad
+    errors = errors_of({**HELICAL, "gamma": 0.5, "delta": 0.0, "omega": 2.0, "dt": 0.4})
+    assert len(errors) == 1 and errors[0].startswith(RATE_ERROR + " 0.82462")
+    # a span shorter than dt is one step of t_max
+    validate_scenario({**HELICAL, "gamma": 0.5, "delta": 0.0, "omega": 2.0, "dt": 0.4, "t_max": 0.2})
+
+
+@pytest.mark.parametrize("key", ["gamma", "delta", "omega", "t_max", "dt"])
+@pytest.mark.parametrize("fault", ["missing", "type", "range"])
+def test_one_error_per_faulty_helical_key(key, fault):
+    # the first step is too large (and, for gamma and delta, degenerate), but the cross-key
+    # checks read the faulty key, so they must not add a line
+    doc = {**HELICAL, "omega": 50.0, "dt": 1.0}
+    if key in ("gamma", "delta"):
+        doc.update(gamma=0.0, delta=0.0)
+    if fault == "missing":
+        del doc[key]
+    else:
+        doc[key] = "abc" if fault == "type" else -math.inf
+    assert len(errors_of(doc)) == 1
+
+
+@pytest.mark.parametrize("kind, key, bound, low", [
+    ("pms", "n_blocks", 499_999, 0),
+    ("resonance-curve", "n_points", 1_000_000, 2),
+    ("lorentz-check", "n_cases", 250_000, 1),
+])
+def test_table_sizes_are_bounded_and_listed_with_other_errors(kind, key, bound, low):
+    base = {"pms": {"xi1": 0.3, "xi2": 0.01, "theta": 0.15},
+            "resonance-curve": {"gamma": 0.04, "delta_min": -0.4, "delta_max": 0.4, "t_pass": 1.0},
+            "lorentz-check": {}}[kind]
+    for ok in (low, bound):
+        validate_scenario({"kind": kind, **base, key: ok})
+    for bad in (bound + 1, 10**9, low - 1):
+        errors = errors_of({"kind": kind, **base, key: bad, "bogus": 1})
+        assert errors == ["unknown key 'bogus'", f"key '{key}': value {bad} must be {low}..{bound}"]
+
+
+# an accepted document keeps the library's decision, and a rejected one is one the library rejects
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the extreme scales overflow inside the RK4 step
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.floats(0.0, 10.0),
+    delta=st.floats(-10.0, 10.0),
+    omega=st.floats(-10.0, 10.0),
+    scale=st.sampled_from([1e-200, 1e-160, 1e-155, 1.0, 1e150, 1e160]),
+    angle=st.floats(0.5 * (1 - 1e-11), 0.5 * (1 + 1e-11)) | st.floats(0.4, 0.6),
+    steps=st.floats(0.2, 3.0),
+)
+def test_helical_rate_check_never_rejects_a_step_integrate_spin_takes(
+    tmp_path_factory, gamma, delta, omega, scale, angle, steps
+):
+    gamma, delta, omega = gamma * scale, delta * scale, omega * scale
+    rate = math.hypot(gamma, omega - delta)
+    assume((gamma > 0 or delta != 0) and rate > 0 and math.isfinite(angle / rate * steps))
+    dt = angle / rate
+    doc = {**HELICAL, "gamma": gamma, "delta": delta, "omega": omega, "dt": dt, "t_max": dt * steps}
+
+    def refusal(run):
+        try:
+            run()
+        except ValueError as err:  # StepTooLarge, or at extreme scales a NaN state
+            return type(err)
+        return None
+
+    field = helical_field(HelicalParams(gamma, delta, omega))
+    library = refusal(lambda: integrate_spin(field, IDENTITY, (0.0, doc["t_max"]), dt))
+    try:
+        scn = validate_scenario(doc)
+    except ConfigError as err:
+        assert len(err.errors) == 1 and err.errors[0].startswith(RATE_ERROR)
+        assert library is StepTooLarge
+        return
+    assert refusal(lambda: run_scenario(scn, out_dir=str(tmp_path_factory.mktemp("h")))) is library
+
+
+# ---------------------------------------------------------------------------
+# the command line imports numpy only to run a valid scenario
+
+PROBE = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("numpy imported:", "numpy" in sys.modules, file=sys.stderr))
+runpy.run_module("quatspin.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+
+def run_probe(argv):
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env)
+
+
+NUMPY_FREE = {
+    "list-kinds": (["list-kinds"], None, 0),
+    "validate": (["validate"], b"kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = 21\n", 0),
+    "config-errors": (["run"], b"kind = pms\nxi1 = oops\nn_blocks = 10000000000\nbogus = 1\n", 2),
+    "non-utf8-file": (["run"], "kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = 5\n# caf\xe9 \xff\n"
+                      .encode("latin-1"), 2),
+    "helical-degenerate": (["run"], b"kind = helical\ngamma = 0.0\ndelta = 0.0\nomega = 0.03\nt_max = 10.0\n"
+                           b"dt = 0.1\n", 2),
+    "helical-step-too-large": (["run"], b"kind = helical\ngamma = 0.5\ndelta = 0.0\nomega = 2.0\nt_max = 10.0\n"
+                               b"dt = 0.4\n", 2),
+    "missing-file": (["run"], None, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE))
+def test_cli_front_end_does_not_import_numpy(tmp_path, name):
+    argv, text, code = NUMPY_FREE[name]
+    if argv != ["list-kinds"]:
+        scn = tmp_path / "scn.txt"
+        if text is not None:
+            scn.write_bytes(text)
+        argv = [*argv, str(scn), *(["--out", str(tmp_path / "out")] if argv == ["run"] else [])]
+    proc = run_probe(argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy imported: False"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_imports_numpy_after_validating(tmp_path):
+    scn = tmp_path / "scn.txt"
+    scn.write_bytes(NUMPY_FREE["validate"][1])
+    proc = run_probe(["run", str(scn), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy imported: True"
+    assert (tmp_path / "out" / "pms.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# lazy package exports
+
+# every name the package exported when it imported its modules eagerly, with the module that defines it now
+EXPORTS = {
+    "quaternion": "ETA_0 ETA_X ETA_Y ETA_Z IDENTITY NonUnitAxis NonUnitQuaternion Quaternion Spinor2 from_axis_angle "
+                  "from_eta precession_angle quat_mul quat_to_rotation to_eta to_spinor to_su2",
+    "spin": "HelicalFieldSpec HelicalParams PmsConfig SpinTrajectory analytic_helical helical_field "
+            "helical_params_from_field integrate_spin pms_block_generators pms_propagate polarization_evolution "
+            "resonance_curve spin_flip_probability spin_up_probability",
+    "emfield": "EmFieldSample EmTensor FourCurrent FourPotential MaxwellResidual continuity_residual em_tensor "
+               "energy_quadratic fields_from_potential lorentz_invariants lorenz_gauge_residual maxwell_residual "
+               "wave_residual",
+    "lorentz": "LorentzQuat SuperluminalSpeed boost_field_closed boost_from_velocity boost_generator eb_boost "
+               "rotate_field_closed rotation_generator transform_tensor",
+    "schema": "ConfigError Scenario validate_scenario",
+    "scenarios": "RunReport run_scenario",
+}
+
+
+def test_package_exports_resolve_to_their_module_objects():
+    for module, names in EXPORTS.items():
+        for name in names.split():
+            namespace = {}
+            exec(f"from quatspin import {name}", namespace)
+            assert namespace[name] is getattr(importlib.import_module(f"quatspin.{module}"), name), name
+            assert name in dir(quatspin)
+    assert sorted(quatspin.__all__) == sorted(n for names in EXPORTS.values() for n in names.split())
+    assert quatspin.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        quatspin.no_such_name
+    with pytest.raises(ImportError):
+        exec("from quatspin import no_such_name", {})

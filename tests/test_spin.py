@@ -114,6 +114,12 @@ def test_pms_propagate_rejects_non_unit_polarization():
         pms_propagate(PmsConfig(2, 0.3, 0.01, 0.2), [0.0, 0.0, 1.5])
 
 
+@pytest.mark.parametrize("p0", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]])
+def test_pms_propagate_rejects_non_finite_polarization(p0):
+    with pytest.raises(NonUnitPolarization):
+        pms_propagate(PmsConfig(2, 0.3, 0.01, 0.2), p0)
+
+
 def test_pms_resonant_ring_closure_matches_frozen_oracle():
     cfg = PmsConfig(21, 0.3, 0.01, math.pi / 21)
     traj = pms_propagate(cfg, POLE)
