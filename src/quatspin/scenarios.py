@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -65,7 +66,8 @@ def _run_helical(scn: Scenario):
     # sign -1 reads the polarization from the conjugate states (the reversed rotation)
     readout = traj.states if p["sign"] > 0 else traj.states * np.array([1.0, -1.0, -1.0, -1.0])
     pvec = rotate_batch(readout, np.array([0.0, 0.0, 1.0]))
-    rows = [[i, *row] for i, row in enumerate(np.column_stack([traj.times, traj.states, pvec, pvec]).tolist())]
+    # the *_mid cells are the px, py, pz objects themselves, so write_table encodes them once
+    rows = [[i, *row, *row[5:]] for i, row in enumerate(np.column_stack([traj.times, traj.states, pvec]).tolist())]
     drift = float(np.max(np.abs(np.einsum("ij,ij->i", traj.states, traj.states) - 1.0)))
     return _TRAJ_COLUMNS, rows, {"final_pz": rows[-1][8], "max_norm_drift": drift}
 
@@ -196,8 +198,14 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _non_finite(value) -> bool:
-    return isinstance(value, (float, np.floating)) and not math.isfinite(value)
+def _refuse_non_finite(columns, cols, kinds):
+    """Raise ValueError naming the first column that holds a NaN or inf."""
+    for name, col, kind in zip(columns, cols, kinds):
+        # a finite sum proves a float column finite, so a column is scanned only when its sum is not
+        if kind <= {int, str, bool} or kind == {float} and math.isfinite(sum(col)):
+            continue
+        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in col):
+            raise ValueError(f"column {name!r} holds a NaN or infinite value")
 
 
 def _jsonable(value):
@@ -211,23 +219,34 @@ def _jsonable(value):
 
 
 def write_table(path: str, columns, rows, fmt: str):
-    """Write the table as CSV (comma, LF, UTF-8, header row) or JSON, atomically; rows must be of equal length."""
+    """Write the table as CSV (comma, LF, UTF-8, header row) or JSON, atomically; rows must be of equal length.
+
+    A NaN or inf cell raises ValueError naming the first column that holds one.  A CSV column made of the
+    very objects of an earlier column (``is``, cell by cell) reuses that column's encoded cells.
+    """
     cols = list(zip(*rows, strict=True))
+    kinds = [set(map(type, col)) for col in cols]
     if fmt == "csv":
-        # a column of Python floats encodes as _cell would, without the per-cell dispatch
-        encoded = [map(float.__repr__ if set(map(type, col)) == {float} else _cell, col) for col in cols]
+        _refuse_non_finite(columns, cols, kinds)
+        encoded = []
+        for j, (col, kind) in enumerate(zip(cols, kinds)):
+            twin = next((i for i in range(j) if col[0] is cols[i][0] and all(map(operator.is_, col, cols[i]))), None)
+            if twin is not None:  # the same objects encode to the same cells: encode them once, share the list
+                encoded[twin] = list(encoded[twin])
+                encoded.append(encoded[twin])
+            else:  # a column of exact floats or ints encodes as _cell would, without the per-cell dispatch
+                encode = float.__repr__ if kind == {float} else int.__repr__ if kind == {int} else _cell
+                encoded.append(map(encode, col))
         lines = (",".join(cells) + "\n" for cells in itertools.chain([columns], zip(*encoded)))
     else:
         # a column of exact floats, ints and strings is already what _jsonable returns
-        encoded = [col if set(map(type, col)) <= {float, int, str} else map(_jsonable, col) for col in cols]
+        encoded = [col if kind <= {float, int, str} else map(_jsonable, col) for col, kind in zip(cols, kinds)]
         try:  # RFC 8259 has no NaN or Infinity
             doc = json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":"),
                              allow_nan=False)
         except ValueError:
-            bad = next((name for name, col in zip(columns, cols) if any(map(_non_finite, col))), None)
-            if bad is None:
-                raise
-            raise ValueError(f"column {bad!r} holds a NaN or infinite value, which JSON cannot encode") from None
+            _refuse_non_finite(columns, cols, kinds)
+            raise
         lines = [doc + "\n"]
     # a temporary file renamed onto path: path holds the whole table or what it held before
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")

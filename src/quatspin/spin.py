@@ -47,7 +47,7 @@ class InvalidTimeSpan(ValueError):
 
 
 class StepTooLarge(ValueError):
-    """Integration step would rotate the spin by more than 0.5 rad."""
+    """Integration step would rotate the spin by more than 0.5 rad, or overflows the float range."""
 
 
 class DegenerateParams(ValueError):
@@ -230,27 +230,34 @@ def pms_propagate(cfg: PmsConfig, p0) -> SpinTrajectory:
 
 def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: float) -> np.ndarray:
     """RK4 step quaternions m_n (n, 4) for steps h from the start times; see integrate_spin."""
-    sample_times = np.stack([starts, starts + 0.5 * h, starts + h], axis=1).ravel().tolist()
-    fields = np.array([field_fn(t) for t in sample_times], dtype=float)
-    if fields.shape != (len(sample_times), 3):
+    sample_times = np.stack([starts, starts + 0.5 * h, starts + h], axis=1).ravel()
+    # one call per block when field_fn carries sample(times) -> (n, 3), else one call per sample time
+    sample = getattr(field_fn, "sample", None) or (lambda times: [field_fn(t) for t in times.tolist()])
+    fields = np.asarray(sample(sample_times), dtype=float)
+    if fields.shape != (sample_times.size, 3):
         raise ValueError(f"field_fn must return a 3-vector, got shape {fields.shape[1:]}")
     non_finite = ~np.isfinite(fields).all(axis=1)
     if non_finite.any():
-        raise ValueError(f"field_fn returned a non-finite field at t = {sample_times[int(np.argmax(non_finite))]!r}")
+        raise ValueError(f"field_fn returned a non-finite field at t = {float(sample_times[np.argmax(non_finite)])!r}")
     fields = fields.reshape(-1, 3, 3)
-    # a stacked matmul runs the dot kernel of np.linalg.norm, so each angle is bit-exact
-    step_angle = h * (np.sqrt((fields[:, 0, None, :] @ fields[:, 0, :, None])[:, 0, 0]) * abs(coupling))
-    too_large = ~(step_angle <= 0.5)
-    if too_large.any():
-        i = int(np.argmax(too_large))
-        raise StepTooLarge(f"dt * |coupling * B| = {float(step_angle[i])!r} exceeds 0.5 rad "
-                           f"at t = {float(starts[i])!r}")
-    a1, a2, a3 = np.moveaxis(np.pad(-0.5 * coupling * fields, ((0, 0), (0, 0), (1, 0))), 1, 0)
-    a21, a22, a32 = quat_mul_batch(a2, a1), quat_mul_batch(a2, a2), quat_mul_batch(a3, a2)
-    a221 = quat_mul_batch(a22, a1)
-    h = h[:, None]
-    m = (h / 6.0) * (a1 + 4.0 * a2 + a3) + (h * h / 6.0) * (a21 + a22 + a32) \
-        + (h**3 / 12.0) * (a221 + quat_mul_batch(a3, a22)) + (h**4 / 24.0) * quat_mul_batch(a3, a221)
+    with np.errstate(over="ignore", invalid="ignore"):  # |B|^2, h^3 or h^4 may overflow: refused by name below
+        # a stacked matmul runs the dot kernel of np.linalg.norm, so each angle is bit-exact
+        step_angle = h * (np.sqrt((fields[:, 0, None, :] @ fields[:, 0, :, None])[:, 0, 0]) * abs(coupling))
+        too_large = ~(step_angle <= 0.5)
+        if too_large.any():
+            i = int(np.argmax(too_large))
+            raise StepTooLarge(f"dt * |coupling * B| = {float(step_angle[i])!r} exceeds 0.5 rad "
+                               f"at t = {float(starts[i])!r}")
+        a1, a2, a3 = np.moveaxis(np.pad(-0.5 * coupling * fields, ((0, 0), (0, 0), (1, 0))), 1, 0)
+        a21, a22, a32 = quat_mul_batch(a2, a1), quat_mul_batch(a2, a2), quat_mul_batch(a3, a2)
+        a221 = quat_mul_batch(a22, a1)
+        hc = h[:, None]
+        m = (hc / 6.0) * (a1 + 4.0 * a2 + a3) + (hc * hc / 6.0) * (a21 + a22 + a32) \
+            + (hc**3 / 12.0) * (a221 + quat_mul_batch(a3, a22)) + (hc**4 / 24.0) * quat_mul_batch(a3, a221)
+    overflow = ~np.isfinite(m).all(axis=1)
+    if overflow.any():
+        i = int(np.argmax(overflow))
+        raise StepTooLarge(f"dt = {float(h[i])!r} overflows the RK4 step quaternion at t = {float(starts[i])!r}")
     m[:, 0] += 1.0
     return m
 
@@ -268,12 +275,14 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
 
     field_fn maps time to a field 3-vector.  It is called at those three
     times per step, for a block of steps before they are taken, so it must
-    be pure.  Every state is renormalized, which only removes round-off.
+    be pure; one with a sample(times) -> (n, 3) attribute, as helical_field's,
+    is called once per block instead.  Every state is renormalized.
 
     Raises InvalidTimeSpan for an empty span, a non-positive dt or more than
     MAX_STEPS steps, ValueError if field_fn returns a NaN or inf component,
     and StepTooLarge if any step would rotate the spin by more than 0.5 rad
-    (the first such sample time or step is named).
+    or is so long that its step quaternion overflows (the first such sample
+    time or step is named).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (dt > 0.0) or not (t1 > t0):
@@ -307,7 +316,8 @@ def helical_field(params: HelicalParams, gamma: float = 1.0):
     """Field function whose ODE solution is exactly analytic_helical(params).
 
     Returns t -> (-(G/gamma) cos(w t), -(G/gamma) sin(w t), (w - D)/gamma)
-    with G = gamma_width, D = delta_detune, w = omega_drive.  The negative
+    with G = gamma_width, D = delta_detune, w = omega_drive, and its sample
+    attribute maps n times to the (n, 3) fields at once.  The negative
     transverse amplitude fixes the phase so that the closed form holds with
     a positive width; shifting the transverse phase by pi only changes where
     the rotating component points at t = 0.
@@ -318,9 +328,15 @@ def helical_field(params: HelicalParams, gamma: float = 1.0):
     bz = (params.omega_drive - params.delta_detune) / gamma
     w = params.omega_drive
 
-    def field(t: float) -> np.ndarray:
-        return np.array([bt * math.cos(w * t), bt * math.sin(w * t), bz])
+    @np.errstate(over="ignore", invalid="ignore")  # integrate_spin names a non-finite sample
+    def sample(times) -> np.ndarray:
+        wt = w * np.asarray(times, dtype=float)
+        return np.stack([bt * np.cos(wt), bt * np.sin(wt), np.full_like(wt, bz)], axis=-1)
 
+    def field(t: float) -> np.ndarray:
+        return sample([t])[0]
+
+    field.sample = sample
     return field
 
 
@@ -393,6 +409,7 @@ def polarization_evolution(params: HelicalParams, sign: int, p0, t: float) -> np
 # resonance probabilities
 
 
+@np.errstate(over="ignore", invalid="ignore")  # extreme widths give NaN probabilities, which write_table refuses
 def _probabilities(t_pass: float, gamma_width: float, delta_detune) -> tuple[np.ndarray, np.ndarray]:
     """(p_down, p_up) elementwise over detunings; the scalar functions below are one-element views."""
     if t_pass < 0.0:

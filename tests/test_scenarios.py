@@ -1,7 +1,10 @@
+import dataclasses
+import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -15,7 +18,7 @@ from quatspin.cli import main
 from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
 from quatspin.lorentz import boost_generator, field_triple, rotation_generator
 from quatspin.scenarios import run_scenario, write_table
-from quatspin.schema import ConfigError, parse_scenario_text, validate_scenario
+from quatspin.schema import ConfigError, load_scenario, parse_scenario_text, validate_scenario
 
 RESONANT_PMS = """
 kind = pms
@@ -323,15 +326,37 @@ cell_values = st.one_of(
 )
 
 
+def twin_cell(value, how: str, first: bool):
+    """A cell of a column built from an earlier one: its very object, or an equal-valued distinct one."""
+    if how == "same" or how == "same-head" and first:
+        return value
+    if how == "same-head":
+        return "other"  # the first cell is shared, the rest differ
+    if how == "flip-zero" and isinstance(value, (float, np.floating)) and value == 0.0:
+        return -value  # equal to value, but "-0.0" against "0.0"
+    return pickle.loads(pickle.dumps(value))  # a new object of the same value (small ints stay cached)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
     st.lists(st.one_of(st.lists(st.floats(allow_nan=False), min_size=width, max_size=width),
                        st.lists(cell_values, min_size=width, max_size=width)), max_size=6),
-    st.just(width))))
+    st.just(width),
+    # extra columns made from earlier columns: the same objects, the same object in the first row
+    # only, or distinct objects of equal value (with 0.0 turned into -0.0)
+    st.lists(st.tuples(st.integers(0, width - 1), st.sampled_from(["same", "same-head", "copy", "flip-zero"])),
+             max_size=3))))
 def test_write_table_csv_bytes_match_per_cell_encoder(tmp_path_factory, table):
-    rows, width = table
-    columns = [f"c{i}" for i in range(width)]
+    rows, width, twins = table
+    rows = [[*row, *(twin_cell(row[k], how, n == 0) for k, how in twins)] for n, row in enumerate(rows)]
+    columns = [f"c{i}" for i in range(width + len(twins))]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
+    if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for row in rows for v in row):
+        # a NaN or inf cell is refused in CSV as in JSON, and nothing is written
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            write_table(str(path), columns, rows, "csv")
+        assert list(path.parent.iterdir()) == []
+        return
     try:
         expected = reference_csv(columns, rows)
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 encoding: both encoders must refuse it
@@ -390,7 +415,7 @@ def test_write_table_is_atomic(tmp_path):
     assert list(tmp_path.iterdir()) == []
     target.write_bytes(b"kept\n")
     failing = [("csv", [[1.0, "x"], [2.0, "\ud800"]]), ("json", [[1.0, object()]]), ("csv", [[1.0, 2.0], [3.0]]),
-               ("json", [[1.0, math.nan]])]
+               ("json", [[1.0, math.nan]]), ("csv", [[1.0, 2.0], [3.0, math.inf]])]
     for fmt, rows in failing:
         with pytest.raises((UnicodeEncodeError, TypeError, ValueError)):
             write_table(str(target), ("a", "b"), rows, fmt)
@@ -406,6 +431,18 @@ def test_write_table_json_names_the_first_non_finite_column(tmp_path):
     with pytest.raises(ValueError, match="column 'd' holds"):
         write_table(str(tmp_path / "t.json"), ("a", "b", "c", "d"), rows[1:], "json")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_table_csv_names_the_first_non_finite_column(tmp_path):
+    rows = [[1, 1e308, np.float64(0.5), "x", math.inf], [2, 1e308, np.float64(math.nan), "y", 0.5]]
+    # column b's sum overflows although every cell is finite: it is scanned and passes
+    with pytest.raises(ValueError, match="^column 'c' holds a NaN or infinite value$"):
+        write_table(str(tmp_path / "t.csv"), ("a", "b", "c", "d", "e"), rows, "csv")
+    with pytest.raises(ValueError, match="^column 'e' holds"):
+        write_table(str(tmp_path / "t.csv"), ("a", "b", "c", "d", "e"), [row[:2] + [0.5] + row[3:] for row in rows], "csv")
+    assert list(tmp_path.iterdir()) == []
+    write_table(str(tmp_path / "t.csv"), ("a", "b"), [row[:2] for row in rows], "csv")
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\n1,1e+308\n2,1e+308\n"
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):
@@ -473,6 +510,13 @@ def test_cli_run_format_override(tmp_path):
 def test_cli_non_finite_json_table_is_a_config_error(tmp_path, capsys):
     # the probabilities of so wide a resonance are NaN
     path = write_scenario(tmp_path, RESONANT_CURVE.replace("gamma = 0.04", "gamma = 1e200") + "format = json\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert "error: ValueError: column 'p_down' holds a NaN or infinite value" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_cli_non_finite_csv_table_is_a_config_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, RESONANT_CURVE.replace("gamma = 0.04", "gamma = 1e200"))
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert "error: ValueError: column 'p_down' holds a NaN or infinite value" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
@@ -595,3 +639,34 @@ def test_shipped_scenario_runs_reproducibly_and_passes_its_self_check(tmp_path, 
         with open(report["wrote"], "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
+
+
+# sha256 of every shipped scenario's table in both formats (x86-64, numpy 2.4): a speed-up must not change a byte
+SHIPPED_DIGESTS = {
+    ("em_plane_wave.scn", "csv"): "66f24f1e3b7da0abb6772432f75f96ef3845961c15d5b9440e87eb64c60f5581",
+    ("em_plane_wave.scn", "json"): "7bc00bce94d9591c40212c7133c9720b1d071eeb5735f45fd1b5cba52d385edf",
+    ("helical_ring.scn", "csv"): "f2398782ceb3a1cd92df1244f21fe5eb3c661400d4154f35fcf24048882ab15b",
+    ("helical_ring.scn", "json"): "a0f7024dd7c6171390650c613ca4bdbe748a0d44a3b5b3bf5db4a7fbf758063b",
+    ("lorentz_sweep.scn", "csv"): "d5ea27e49de23a1ff8afbdd150d85f445ce0d1f1fa3d44fefc7cf8ee3ba1b704",
+    ("lorentz_sweep.scn", "json"): "89eabbdb13a79e13792b9875755175a5b5e896bb3594a24a3184938603526729",
+    ("pms_detuned.scn", "csv"): "5d41c51290d2a835c5ff66a3dc5ad6146239695b33aa4dfaafd93be2cbb875d0",
+    ("pms_detuned.scn", "json"): "86693d7fed25323e37016b6a5ff18c5e78becef7175538b3fc37f7d7ee5b4744",
+    ("pms_fine.scn", "csv"): "d20770a151f02470a385735616ec70a980bfd7d120f89d407e3f3211521ad360",
+    ("pms_fine.scn", "json"): "de41c6cb76bb7c9d02234a0aadce286af9d3b65e82b9ad8a9c974823858f2f92",
+    ("pms_resonant.scn", "csv"): "12f4241a080083c5bd9692a42055b7405ccd13c0fd9da2db6ca68ea4cb9beb2f",
+    ("pms_resonant.scn", "json"): "e180682efc623d11f4a7092b0f75d8d025c7d00c09fe493c3805070ecbce3412",
+    ("resonance_curve.scn", "csv"): "be5ab244bc3ea3aaec43ce767d1773ff5b3075f3b49315f231dcff6f56749156",
+    ("resonance_curve.scn", "json"): "42666a631a6e0c9e150e9f4e7a3f70195d1b70fd71770320f8eb99f4efe8dee1",
+}
+
+
+def test_shipped_scenario_tables_keep_their_golden_digests(tmp_path):
+    digests = {}
+    for name in sorted(SELF_CHECKS):
+        scn = load_scenario(os.path.join(SCENARIO_DIR, name))
+        for fmt in ("csv", "json"):
+            output = f"{scn.output.rpartition('.')[0]}.{fmt}"
+            report = run_scenario(dataclasses.replace(scn, fmt=fmt, output=output), out_dir=str(tmp_path))
+            with open(report.outputs[0], "rb") as fh:
+                digests[name, fmt] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == SHIPPED_DIGESTS

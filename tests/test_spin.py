@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatspin.quaternion import (
@@ -357,6 +357,66 @@ def test_integrate_spin_validation():
         integrate_spin(lambda t: np.array([0, 0, 10.0]), IDENTITY, (0.0, 1.0), 0.5)
     with pytest.raises(NonUnitQuaternion):
         integrate_spin(lambda t: np.zeros(3), Quaternion(2, 0, 0, 0), (0.0, 1.0), 0.1)
+
+
+nonzero_gammas = st.sampled_from([1.0, -0.7, 3.0, 1e-200, 1e-310]) | st.floats(-1e3, 1e3).filter(lambda g: g != 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), nonzero_gammas,
+       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_helical_sample_is_the_math_formula_bit_for_bit(gamma_width, delta, omega, gamma, times):
+    assume(gamma_width > 0.0 or delta != 0.0)
+    field = helical_field(HelicalParams(gamma_width, delta, omega), gamma=gamma)
+    # the formula as it was before fields were sampled per block, one math call per component
+    bt, bz = -gamma_width / gamma, (omega - delta) / gamma
+    expected = np.array([(bt * math.cos(omega * t), bt * math.sin(omega * t), bz) for t in times])
+    assert field.sample(np.array(times)).tobytes() == expected.tobytes()
+    assert np.array([field(t) for t in times]).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rates=st.tuples(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    scale=st.just(1.0) | st.sampled_from([1e-200, 1e150]),
+    gamma=nonzero_gammas,
+    coupling=st.sampled_from([1.0, -1.3]),
+    angle=st.floats(0.05, 0.6),
+    steps=st.floats(0.5, 2500.0),
+    t0=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integrate_spin_samples_helical_fields_per_block_as_per_call(rates, scale, gamma, coupling, angle, steps,
+                                                                     t0, seed):
+    gamma_width, delta, omega = (r * scale for r in rates)
+    assume(gamma_width > 0.0 or delta != 0.0)
+    field = helical_field(HelicalParams(gamma_width, delta, omega), gamma=gamma)
+    # dt near the 0.5 rad limit; at extreme scales the rate overflows (a non-finite field) or h^4 does
+    rate = math.hypot(gamma_width, omega - delta) / abs(gamma) * abs(coupling)
+    dt = angle / rate if 0.0 < rate < math.inf else angle
+    t_span = (t0, t0 + steps * dt)
+    assume(t_span[1] > t_span[0])
+    s0 = Quaternion.from_array(np.random.default_rng(seed).normal(size=4) + 0.1).normalized()
+
+    def outcome(field_fn):
+        try:
+            traj = integrate_spin(field_fn, s0, t_span, dt, coupling=coupling)
+        except ValueError as err:  # StepTooLarge, or a non-finite field
+            return type(err), str(err)
+        return traj.times.tobytes(), traj.states.tobytes()
+
+    # a lambda has no sample attribute, so it takes the per-call path
+    assert outcome(field) == outcome(lambda t: field(t))
+
+
+def test_overflowing_rk4_step_is_step_too_large():
+    # |B|^2 = 1e-400 underflows, so the angle check reads 0 rad, while h^3 and h^4 overflow
+    field = helical_field(HelicalParams(1e-200, 0.0, 0.0))
+    with pytest.raises(StepTooLarge, match=r"^dt = 1e\+200 overflows the RK4 step quaternion at t = 0\.0$"):
+        integrate_spin(field, IDENTITY, (0.0, 1e200), 1e200)
+    # a zero field too: h^4 = inf times a zero product is NaN
+    with pytest.raises(StepTooLarge, match=r"^dt = 1e\+150 overflows the RK4 step quaternion at t = 5\.0$"):
+        integrate_spin(lambda t: (0.0, 0.0, 0.0), IDENTITY, (5.0, 3e150), 1e150)
 
 
 def test_integrate_spin_matches_helical_closed_form():
