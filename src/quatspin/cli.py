@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     from .scenarios import run_scenario
 
     try:
-        report = run_scenario(scenario, out_dir=args.out or os.environ.get(OUT_DIR_ENV) or ".", threads=args.threads)
+        report = run_scenario(scenario, out_dir=args.out or os.environ.get(OUT_DIR_ENV) or ".")
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -123,41 +123,33 @@ class MaxwellResidual:
 # pointwise differencing
 
 
-def _shift(point, axis: int, delta: float) -> tuple:
-    p = list(point)
-    p[axis] += delta
-    return tuple(p)
+def _stencil(fn, point, h: float) -> list:
+    """fn sampled at point + h and at point - h along each of t, x, y, z: four (plus, minus) pairs."""
+    pairs = []
+    for axis in range(4):
+        plus, minus = list(point), list(point)
+        plus[axis] += h
+        minus[axis] -= h
+        pairs.append((fn(*plus), fn(*minus)))
+    return pairs
 
 
-def _partial(fn, point, axis: int, h: float):
-    """2nd-order central first derivative along one spacetime axis."""
-    return (np.asarray(fn(*_shift(point, axis, h))) - np.asarray(fn(*_shift(point, axis, -h)))) / (2.0 * h)
+def _jacobian(pairs, h: float) -> np.ndarray:
+    """2nd-order central first derivatives from the _stencil pairs of an array-valued function.
 
-
-def _second(fn, point, axis: int, h: float):
-    """Composed central second derivative (f(+2h) - 2f + f(-2h)) / (4h^2).
-
-    This is two first-order central differences applied in sequence, which
-    is exactly the stencil the operator product D^T D generates.
+    Row mu is the derivative along t, x, y, z; for a 3-vector field, column k is component k.
     """
-    plus = np.asarray(fn(*_shift(point, axis, 2.0 * h)))
-    minus = np.asarray(fn(*_shift(point, axis, -2.0 * h)))
-    return (plus - 2.0 * np.asarray(fn(*point)) + minus) / (4.0 * h * h)
+    return np.array([(np.asarray(plus) - np.asarray(minus)) / (2.0 * h) for plus, minus in pairs])
 
 
-def _div(vec_fn, point, h: float) -> float:
-    return float(sum(_partial(vec_fn, point, 1 + k, h)[k] for k in range(3)))
+def _div(jac) -> float:
+    """Divergence of a 3-vector field from its (4, 3) Jacobian."""
+    return float(sum(jac[1 + k, k] for k in range(3)))
 
 
-def _curl(vec_fn, point, h: float) -> np.ndarray:
-    dx = _partial(vec_fn, point, 1, h)
-    dy = _partial(vec_fn, point, 2, h)
-    dz = _partial(vec_fn, point, 3, h)
-    return np.array([dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0]])
-
-
-def _grad(scalar_fn, point, h: float) -> np.ndarray:
-    return np.array([float(_partial(scalar_fn, point, 1 + k, h)) for k in range(3)])
+def _curl(jac) -> np.ndarray:
+    """Curl of a 3-vector field from its (4, 3) Jacobian."""
+    return np.array([jac[2, 2] - jac[3, 1], jac[3, 0] - jac[1, 2], jac[1, 1] - jac[2, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +159,21 @@ def _grad(scalar_fn, point, h: float) -> np.ndarray:
 def fields_from_potential(pot: FourPotential, point, h: float, c: float = 1.0) -> EmFieldSample:
     """B = curl A and E = -grad phi - (1/c) dA/dt by central differences."""
     _check_step(h)
-    b = _curl(pot.a, point, h)
-    e = -_grad(pot.phi, point, h) - _partial(pot.a, point, 0, h) / c
-    return EmFieldSample(e=e, b=b)
+    da = _jacobian(_stencil(pot.a, point, h), h)
+    dphi = _jacobian(_stencil(pot.phi, point, h), h)
+    return EmFieldSample(e=-dphi[1:] - da[0] / c, b=_curl(da))
 
 
 def lorenz_gauge_residual(pot: FourPotential, point, h: float, c: float = 1.0) -> float:
     """(1/c) d phi/dt + div A; zero for a potential in Lorenz gauge."""
     _check_step(h)
-    return float(_partial(pot.phi, point, 0, h)) / c + _div(pot.a, point, h)
+    da = _jacobian(_stencil(pot.a, point, h), h)
+    dphi = _jacobian(_stencil(pot.phi, point, h), h)
+    return float(dphi[0]) / c + _div(da)
 
 
-def potential_matrix(pot: FourPotential, t, x, y, z, c: float = 1.0) -> np.ndarray:
-    """4x4 realization i*phi*eta_0 + Ax*eta_x + Ay*eta_y + Az*eta_z.
-
-    The c argument is accepted for signature symmetry with apply_dirac.
-    """
+def potential_matrix(pot: FourPotential, t, x, y, z) -> np.ndarray:
+    """4x4 realization i*phi*eta_0 + Ax*eta_x + Ay*eta_y + Az*eta_z."""
     a = np.asarray(pot.a(t, x, y, z), dtype=float)
     return 1j * pot.phi(t, x, y, z) * ETA_0 + a[0] * ETA_X + a[1] * ETA_Y + a[2] * ETA_Z
 
@@ -200,9 +191,10 @@ def apply_dirac(mat_fn, point, h: float, c: float = 1.0, transpose: bool = False
     """
     _check_step(h)
     sign = -1.0 if transpose else 1.0
-    out = (1j / c) * ETA_0 @ _partial(mat_fn, point, 0, h)
+    dm = _jacobian(_stencil(mat_fn, point, h), h)
+    out = (1j / c) * ETA_0 @ dm[0]
     for axis, eta in ((1, ETA_X), (2, ETA_Y), (3, ETA_Z)):
-        out = out + sign * eta @ _partial(mat_fn, point, axis, h)
+        out = out + sign * eta @ dm[axis]
     return out
 
 
@@ -231,53 +223,44 @@ def maxwell_residual(field_fn, source_fn, point, h: float, c: float = 1.0) -> Ma
 
     field_fn maps (t,x,y,z) to an EmFieldSample; source_fn maps (t,x,y,z)
     to a FourCurrent, or is None for vacuum.  The same four numbers are the
-    eta components of D F - (4 pi / c) J.
+    eta components of D F - (4 pi / c) J.  All four are read off one
+    Jacobian of (E, B): field_fn is called once at each of the 8 stencil points.
     """
     _check_step(h)
-
-    def e_fn(*p):
-        return field_fn(*p).e
-
-    def b_fn(*p):
-        return field_fn(*p).b
-
+    pairs = _stencil(field_fn, point, h)
+    de = _jacobian([(plus.e, minus.e) for plus, minus in pairs], h)
+    db = _jacobian([(plus.b, minus.b) for plus, minus in pairs], h)
     src = source_fn(*point) if source_fn is not None else ZERO_CURRENT
-    gauss_b = _div(b_fn, point, h)
-    faraday = _curl(e_fn, point, h) + _partial(b_fn, point, 0, h) / c
-    ampere = _curl(b_fn, point, h) - _partial(e_fn, point, 0, h) / c - (FOUR_PI / c) * src.j
-    gauss_e = _div(e_fn, point, h) - FOUR_PI * src.rho
+    gauss_b = _div(db)
+    faraday = _curl(de) + db[0] / c
+    ampere = _curl(db) - de[0] / c - (FOUR_PI / c) * src.j
+    gauss_e = _div(de) - FOUR_PI * src.rho
     return MaxwellResidual(gauss_b=gauss_b, faraday=faraday, ampere=ampere, gauss_e=gauss_e)
 
 
 def wave_residual(field_fn, point, h: float, c: float = 1.0) -> np.ndarray:
     """(laplacian - (1/c^2) dtt) (B - i E), via the composed second stencil.
 
-    Needs field samples up to +-2h along every axis.  Zero for any vacuum
+    The second difference (f(+2h) - 2f + f(-2h)) / (4h^2) along each axis is
+    two first-order central differences applied in sequence, which is exactly
+    the stencil the operator product D^T D generates.  field_fn is called 9
+    times: at the point and at +-2h along every axis.  Zero for any vacuum
     solution of the Maxwell equations.
     """
     _check_step(h)
-
-    def f_fn(*p):
-        s = field_fn(*p)
-        return s.b - 1j * s.e
-
-    out = -_second(f_fn, point, 0, h) / (c * c)
-    for axis in (1, 2, 3):
-        out = out + _second(f_fn, point, axis, h)
-    return out
+    f0 = em_tensor(field_fn(*point)).f
+    dtt, dxx, dyy, dzz = [(em_tensor(plus).f - 2.0 * f0 + em_tensor(minus).f) / (4.0 * h * h)
+                          for plus, minus in _stencil(field_fn, point, 2.0 * h)]
+    return -dtt / (c * c) + dxx + dyy + dzz
 
 
 def continuity_residual(source_fn, point, h: float) -> float:
     """d rho/dt + div j by central differences; the trace form of D^T J / 4."""
     _check_step(h)
-
-    def rho_fn(*p):
-        return source_fn(*p).rho
-
-    def j_fn(*p):
-        return source_fn(*p).j
-
-    return float(_partial(rho_fn, point, 0, h)) + _div(j_fn, point, h)
+    pairs = _stencil(source_fn, point, h)
+    drho = _jacobian([(plus.rho, minus.rho) for plus, minus in pairs], h)
+    dj = _jacobian([(plus.j, minus.j) for plus, minus in pairs], h)
+    return float(drho[0]) + _div(dj)
 
 
 # ---------------------------------------------------------------------------

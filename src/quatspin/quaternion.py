@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Unit-norm tolerances: states built internally must satisfy the tight bound,
-# user-supplied data is accepted up to the loose one.
-UNIT_TOL_CONSTRUCT = 1e-12
+# Unit-norm tolerance up to which user-supplied axes, states and polarizations are accepted.
 UNIT_TOL_INPUT = 1e-9
 
 

@@ -187,17 +187,6 @@ _RUNNERS = {
 # output encoding
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # shortest decimal that round-trips to the same float64
-    return repr(float(value))
-
-
 def _refuse_non_finite(columns, cols, kinds):
     """Raise ValueError naming the first column that holds a NaN or inf."""
     for name, col, kind in zip(columns, cols, kinds):
@@ -216,6 +205,11 @@ def _jsonable(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     return float(value)
+
+
+def _cell(value) -> str:
+    # JSON writes a float as its shortest round-trip repr and a bool as true/false
+    return value if isinstance(value, str) else json.dumps(_jsonable(value))
 
 
 def write_table(path: str, columns, rows, fmt: str):
@@ -260,11 +254,8 @@ def write_table(path: str, columns, rows, fmt: str):
         raise
 
 
-def run_scenario(scn: Scenario, out_dir: str = ".", threads: int | None = None) -> RunReport:
-    """Execute a validated scenario and write its output table.
-
-    threads is ignored: every sweep runs in the calling thread.
-    """
+def run_scenario(scn: Scenario, out_dir: str = ".") -> RunReport:
+    """Execute a validated scenario and write its output table."""
     started = time.perf_counter()
     columns, rows, summary = _RUNNERS[scn.kind](scn)
     os.makedirs(out_dir, exist_ok=True)

@@ -124,7 +124,8 @@ _SCHEMAS = {
     ),
     "em-check": (
         _Field("case", str, check=lambda v: v in EM_CASES, expect="one of " + ", ".join(EM_CASES)),
-        _Field("h0", float, required=False, default=0.02, check=lambda v: _finite(v) and v > 0, expect="> 0"),
+        # the wave stencil reaches 2 * h0, at most the point charge's smallest coordinate; h0 / 2^11 stays finite
+        _Field("h0", float, required=False, default=0.02, check=lambda v: 1e-4 <= v <= 0.25, expect="in [1e-4, 0.25]"),
         _Field("n_levels", int, required=False, default=3, check=lambda v: 1 <= v <= 12, expect="1..12"),
     ),
     "lorentz-check": (

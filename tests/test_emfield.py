@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatspin.emfield import (
     DegenerateStep,
@@ -23,6 +25,7 @@ from quatspin.emfield import (
     potential_matrix,
     wave_residual,
 )
+from quatspin.quaternion import ETA_0, ETA_X, ETA_Y, ETA_Z
 
 H_LEVELS = (0.02, 0.01, 0.005)
 
@@ -395,3 +398,161 @@ def test_residual_sweep_is_order_independent():
     forward = [residual_at(p) for p in pts]
     backward = [residual_at(p) for p in reversed(pts)]
     assert forward == backward[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the one-stencil differencing against the per-law reference
+
+
+def _ref_shift(point, axis, delta):
+    p = list(point)
+    p[axis] += delta
+    return tuple(p)
+
+
+def _ref_partial(fn, point, axis, h):
+    return (np.asarray(fn(*_ref_shift(point, axis, h))) - np.asarray(fn(*_ref_shift(point, axis, -h)))) / (2.0 * h)
+
+
+def _ref_second(fn, point, axis, h):
+    plus = np.asarray(fn(*_ref_shift(point, axis, 2.0 * h)))
+    minus = np.asarray(fn(*_ref_shift(point, axis, -2.0 * h)))
+    return (plus - 2.0 * np.asarray(fn(*point)) + minus) / (4.0 * h * h)
+
+
+def _ref_div(vec_fn, point, h):
+    return float(sum(_ref_partial(vec_fn, point, 1 + k, h)[k] for k in range(3)))
+
+
+def _ref_curl(vec_fn, point, h):
+    dx, dy, dz = (_ref_partial(vec_fn, point, axis, h) for axis in (1, 2, 3))
+    return np.array([dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0]])
+
+
+def _ref_grad(scalar_fn, point, h):
+    return np.array([float(_ref_partial(scalar_fn, point, 1 + k, h)) for k in range(3)])
+
+
+def _ref_maxwell(field_fn, source_fn, point, h, c):
+    """Each law differenced on its own, E and B sampled through separate adapters: 28 field_fn calls."""
+    def e_fn(*p):
+        return field_fn(*p).e
+
+    def b_fn(*p):
+        return field_fn(*p).b
+
+    src = source_fn(*point) if source_fn is not None else FourCurrent(rho=0.0, j=np.zeros(3))
+    return (_ref_div(b_fn, point, h), _ref_curl(e_fn, point, h) + _ref_partial(b_fn, point, 0, h) / c,
+            _ref_curl(b_fn, point, h) - _ref_partial(e_fn, point, 0, h) / c - (4.0 * math.pi / c) * src.j,
+            _ref_div(e_fn, point, h) - 4.0 * math.pi * src.rho)
+
+
+def _ref_wave(field_fn, point, h, c):
+    def f_fn(*p):
+        s = field_fn(*p)
+        return s.b - 1j * s.e
+
+    out = -_ref_second(f_fn, point, 0, h) / (c * c)
+    for axis in (1, 2, 3):
+        out = out + _ref_second(f_fn, point, axis, h)
+    return out
+
+
+def _ref_continuity(source_fn, point, h):
+    def rho_fn(*p):
+        return source_fn(*p).rho
+
+    def j_fn(*p):
+        return source_fn(*p).j
+
+    return float(_ref_partial(rho_fn, point, 0, h)) + _ref_div(j_fn, point, h)
+
+
+def _ref_apply_dirac(mat_fn, point, h, c, transpose):
+    sign = -1.0 if transpose else 1.0
+    out = (1j / c) * ETA_0 @ _ref_partial(mat_fn, point, 0, h)
+    for axis, eta in ((1, ETA_X), (2, ETA_Y), (3, ETA_Z)):
+        out = out + sign * eta @ _ref_partial(mat_fn, point, axis, h)
+    return out
+
+
+def _smooth(rng, n, point):
+    """n random smooth functions of (t, x, y, z) as one callable returning an (n,) array.
+
+    About a third of them are constant and some of those are zero, so that differences of 0.0 and
+    their negations (-0.0) reach every law.  In about a quarter of the draws every function is
+    instead a zero whose sign flips at the point (function i along axis 1 + (i - n) % 3, the axis of
+    its own divergence term), so that sums of zeros of either sign reach every law too.
+    """
+    if rng.random() < 0.25:
+        signs, axes = rng.choice([0.0, -0.0], size=n), [1 + (i - n) % 3 for i in range(n)]
+
+        def zeros(*p):
+            return np.array([s * (p[axis] - point[axis]) for s, axis in zip(signs, axes)])
+
+        return zeros
+    const, lin, amp = rng.normal(size=n), rng.normal(size=(n, 4)), rng.normal(size=n)
+    k, phase = rng.normal(size=(n, 4)) * 3.0, rng.uniform(0.0, 2.0 * math.pi, size=n)
+    flat = rng.random(n) < 0.35
+    lin[flat], amp[flat] = 0.0, 0.0
+    const[flat & (rng.random(n) < 0.5)] = 0.0
+
+    def fn(t, x, y, z):
+        p = np.array([t, x, y, z])
+        return const + lin @ p + amp * np.sin(k @ p + phase)
+
+    return fn
+
+
+def _same(a, b) -> bool:
+    """Same type, dtype, shape and bytes (the sign of zero included)."""
+    return type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype and \
+        np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-6, 0.3), st.sampled_from((1.0, 0.7, 2.9979e8)),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+def test_differencing_is_bit_identical_to_per_law_reference(seed, h, c, point):
+    rng = np.random.default_rng(seed)
+    fv, sv, pv = _smooth(rng, 6, point), _smooth(rng, 4, point), _smooth(rng, 4, point)
+
+    def field(*p):
+        v = fv(*p)
+        return EmFieldSample(e=v[:3], b=v[3:])
+
+    def source(*p):
+        v = sv(*p)
+        return FourCurrent(rho=float(v[0]), j=v[1:])
+
+    pot = FourPotential(phi=lambda *p: float(pv(*p)[0]), a=lambda *p: pv(*p)[1:])
+
+    for src in (None, source):
+        res, ref = maxwell_residual(field, src, point, h, c), _ref_maxwell(field, src, point, h, c)
+        assert all(map(_same, (res.gauss_b, res.faraday, res.ampere, res.gauss_e), ref))
+    assert _same(wave_residual(field, point, h, c), _ref_wave(field, point, h, c))
+    assert _same(continuity_residual(source, point, h), _ref_continuity(source, point, h))
+    lorenz = float(_ref_partial(pot.phi, point, 0, h)) / c + _ref_div(pot.a, point, h)
+    assert _same(lorenz_gauge_residual(pot, point, h, c), lorenz)
+    sample = fields_from_potential(pot, point, h, c)
+    assert _same(sample.b, _ref_curl(pot.a, point, h))
+    assert _same(sample.e, -_ref_grad(pot.phi, point, h) - _ref_partial(pot.a, point, 0, h) / c)
+    for mat_fn in (lambda *p: potential_matrix(pot, *p), lambda *p: current_matrix(source(*p), c),
+                   lambda *p: em_tensor(field(*p)).matrix):
+        for transpose in (False, True):
+            assert _same(apply_dirac(mat_fn, point, h, c, transpose), _ref_apply_dirac(mat_fn, point, h, c, transpose))
+
+
+def test_each_stencil_point_is_sampled_once():
+    calls = []
+
+    def field(*p):
+        calls.append(p)
+        return oblique_wave(*p)
+
+    point = (0.3, 0.1, 0.2, 0.4)
+    maxwell_residual(field, None, point, 0.01)
+    assert len(calls) == len(set(calls)) == 8
+    calls.clear()
+    wave_residual(field, point, 0.01)
+    assert len(calls) == len(set(calls)) == 9

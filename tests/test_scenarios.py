@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -7,6 +8,9 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,7 +113,7 @@ def test_run_pms_resonant_ring(tmp_path):
     assert report.summary["closure_distance"] == pytest.approx(0.0514861113044685, abs=1e-9)
     assert report.summary["resonant_geometry"] == 1.0
     path = report.outputs[0]
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,t,s0,sx,sy,sz,px,py,pz,px_mid,py_mid,pz_mid"
     assert len(lines) - 1 == 2 * 21 + 2
 
@@ -149,7 +153,7 @@ def test_run_em_check_convergence(tmp_path):
     scn = validate_scenario({"kind": "em-check", "case": "plane-wave", "h0": 0.02, "n_levels": 3})
     report = run_scenario(scn, out_dir=str(tmp_path))
     assert report.summary["min_order"] > 1.8
-    rows = open(report.outputs[0], encoding="utf-8").read().splitlines()[1:]
+    rows = Path(report.outputs[0]).read_text(encoding="utf-8").splitlines()[1:]
     by_level = {}
     for row in rows:
         h, name, value = row.split(",")
@@ -270,9 +274,9 @@ def test_lorentz_check_rapidity_bound_is_a_schema_error(tmp_path, capsys):
 def test_deterministic_across_runs_and_threads(tmp_path):
     scn = validate_scenario({"kind": "lorentz-check", "n_cases": 40, "seed": 11})
     blobs = []
-    for name, threads in (("a", 1), ("b", 4), ("c", None)):
-        report = run_scenario(scn, out_dir=str(tmp_path / name), threads=threads)
-        blobs.append(open(report.outputs[0], "rb").read())
+    for name in ("a", "b", "c"):
+        report = run_scenario(scn, out_dir=str(tmp_path / name))
+        blobs.append(Path(report.outputs[0]).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -283,7 +287,7 @@ def test_json_output(tmp_path):
     )
     report = run_scenario(scn, out_dir=str(tmp_path))
     assert report.outputs[0].endswith("resonance-curve.json")
-    doc = json.load(open(report.outputs[0], encoding="utf-8"))
+    doc = json.loads(Path(report.outputs[0]).read_text(encoding="utf-8"))
     assert doc["columns"] == ["delta", "p_down", "p_up"]
     assert len(doc["rows"]) == 5
     from quatspin.spin import spin_flip_probability
@@ -297,7 +301,7 @@ def test_json_output(tmp_path):
          "n_points": 5, "t_pass": 10.0, "format": "json"}
     )
     report2 = run_scenario(scn2, out_dir=str(tmp_path / "again"))
-    assert open(report.outputs[0], "rb").read() == open(report2.outputs[0], "rb").read()
+    assert Path(report.outputs[0]).read_bytes() == Path(report2.outputs[0]).read_bytes()
 
 
 def reference_csv(columns, rows) -> bytes:
@@ -453,7 +457,7 @@ def test_write_table_rejects_ragged_rows(tmp_path):
 def test_write_table_csv_lf_endings(tmp_path):
     path = str(tmp_path / "t.csv")
     write_table(path, ("a", "b"), [[1, 0.5], [2, 0.25]], "csv")
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert b"\r" not in blob
     assert blob.decode("utf-8") == "a,b\n1,0.5\n2,0.25\n"
 
@@ -540,12 +544,25 @@ def test_cli_threads_must_be_an_integer_of_at_least_one(tmp_path, capsys, value)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["plane-wave", "point-charge", "constant"])
+@pytest.mark.parametrize("h0", ["1e300", "0.26", "9e-5", "1e-160", "1e-300"])
+def test_cli_em_check_step_out_of_bounds_is_a_config_error(tmp_path, capsys, case, h0):
+    # at h0 = 1e300 the point charge's residuals overflowed to a table of zeros, exit 0; at 1e-160
+    # and 1e-300 numpy warned before the run exited 2
+    path = write_scenario(tmp_path, f"kind = em-check\ncase = {case}\nh0 = {h0}\nn_levels = 12\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: key 'h0': value {float(h0)!r} must be in [1e-4, 0.25]\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     path = write_scenario(tmp_path, "kind = lorentz-check\nn_cases = 30\nseed = 3\n")
     assert main(["run", path, "--out", str(tmp_path / "r1")]) == 0
     assert main(["run", path, "--out", str(tmp_path / "r2")]) == 0
-    b1 = open(tmp_path / "r1" / "lorentz-check.csv", "rb").read()
-    b2 = open(tmp_path / "r2" / "lorentz-check.csv", "rb").read()
+    b1 = (tmp_path / "r1" / "lorentz-check.csv").read_bytes()
+    b2 = (tmp_path / "r2" / "lorentz-check.csv").read_bytes()
     assert b1 == b2
 
 
@@ -670,3 +687,105 @@ def test_shipped_scenario_tables_keep_their_golden_digests(tmp_path):
             with open(report.outputs[0], "rb") as fh:
                 digests[name, fmt] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == SHIPPED_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# the command line's contract on random documents
+
+FUZZ_BASE = {
+    "pms": {"xi1": "0.3", "xi2": "0.01", "theta": "0.15", "n_blocks": "21"},
+    "helical": {"gamma": "0.04", "delta": "0.0", "omega": "0.02", "t_max": "10.0", "dt": "0.1", "sign": "1"},
+    "resonance-curve": {"gamma": "0.04", "delta_min": "-0.4", "delta_max": "0.4", "n_points": "50", "t_pass": "20.0"},
+    "em-check": {"case": "point-charge", "h0": "0.02", "n_levels": "3"},
+    "lorentz-check": {"n_cases": "20", "max_generators": "5", "rapidity_max": "2.0"},
+}
+FUZZ_COMMON = {"seed": "0", "output": "t.csv", "format": "csv"}
+FUZZ_EXTREMES = ("1e300", "-1e300", "1e-300", "5e-324", "-5e-324", "nan", "inf", "-inf", "0", "-0.0", "1", "-1", "2",
+                 "5", "6", "12", "13", "50", "51", "1e-4", "0.25", "499999", "500000", "1000000", "1000001", "250000",
+                 "250001")
+FUZZ_WORDS = ("plane-wave", "point-charge", "constant", "csv", "json", "true", "t.json", "..", "../t.csv", "", "a b")
+fuzz_garbage = (st.sampled_from(FUZZ_WORDS) | st.floats(-3.0, 3.0).map(repr) | st.integers(-2, 30).map(str)
+                | st.text(st.characters(blacklist_characters="\r\n#"), max_size=6))
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A kind's small valid document with up to two values set to extremes, size bounds or garbage."""
+    kind = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    doc = {**FUZZ_BASE[kind], **FUZZ_COMMON}
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2)):
+        doc[key] = draw(st.sampled_from(FUZZ_EXTREMES) if draw(st.booleans()) else fuzz_garbage)
+    lines = [f"kind = {kind}"] + [f"{key} = {value}" for key, value in doc.items()]
+    if draw(st.integers(0, 9)) == 0:  # one in ten: a line dropped, and a garbage line or key added
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+        lines.append(draw(fuzz_garbage | st.sampled_from(["= 1", "bogus = 1", "kind = pms", "# a comment"])))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def rows_of_a_run(text: str) -> float:
+    """The number of table rows (or integration steps) running this document would cost; 0 if it is invalid."""
+    try:
+        p = validate_scenario(parse_scenario_text(text)).params
+    except ValueError:
+        return 0
+    if "n_blocks" in p:
+        return 2 * p["n_blocks"]
+    if "t_max" in p:  # beyond MAX_STEPS, integrate_spin refuses the span before it steps
+        steps = p["t_max"] / p["dt"]
+        return 0 if steps > 10**6 else steps
+    return p.get("n_points", 0) + 4 * p.get("n_cases", 0) * p.get("max_generators", 0)
+
+
+def assert_finite_numbers(value):
+    if isinstance(value, list):
+        for item in value:
+            assert_finite_numbers(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzz_documents())
+def test_cli_contract_holds_for_random_documents(text):
+    # run only what is cheap; documents at the size bounds are validated
+    command = "run" if rows_of_a_run(text) <= 5000 else "validate"
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        scn = os.path.join(root, "scn.txt")
+        with open(scn, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out_dir = os.path.join(root, "out")
+        argv = [command, scn] + (["--out", out_dir] if command == "run" else [])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        os.chdir(root)  # a relative write that escaped --out would land here
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in stderr.getvalue()
+        assert sorted(os.listdir(root)) in (["scn.txt"], ["out", "scn.txt"])
+        written = sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []
+        if code != 0 or command == "validate":
+            assert written == []
+            return
+        report = dict(line.split(": ", 1) for line in stdout.getvalue().splitlines())
+        assert written == [os.path.basename(report["wrote"])]
+        for key, value in report.items():
+            if key not in ("kind", "seed", "wrote"):
+                assert math.isfinite(float(value)), (key, value)
+        with open(report["wrote"], encoding="utf-8") as fh:
+            table = fh.read()
+        if report["wrote"].endswith(".json") and table.startswith("{"):
+            assert_finite_numbers(json.loads(table, parse_constant=float)["rows"])
+        else:
+            for cell in ",".join(table.splitlines()[1:]).split(","):
+                try:
+                    number = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), cell

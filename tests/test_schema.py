@@ -73,6 +73,16 @@ def test_table_sizes_are_bounded_and_listed_with_other_errors(kind, key, bound, 
         assert errors == ["unknown key 'bogus'", f"key '{key}': value {bad} must be {low}..{bound}"]
 
 
+@pytest.mark.parametrize("case", ["plane-wave", "point-charge", "constant"])
+def test_em_check_step_is_bounded_and_listed_with_other_errors(case):
+    for ok in (1e-4, 0.02, 0.25):
+        assert validate_scenario({"kind": "em-check", "case": case, "h0": ok}).params["h0"] == ok
+    for bad in (0.25000000000000006, 1e300, 9.999999999999999e-05, 1e-160, 5e-324, 0.0, -0.02, math.nan, math.inf):
+        errors = errors_of({"kind": "em-check", "case": case, "h0": bad, "n_levels": 13})
+        assert errors == [f"key 'h0': value {bad!r} must be in [1e-4, 0.25]",
+                          "key 'n_levels': value 13 must be 1..12"]
+
+
 # an accepted document keeps the library's decision, and a rejected one is one the library rejects
 @settings(max_examples=300, deadline=None)
 @given(
