@@ -705,7 +705,7 @@ FUZZ_EXTREMES = ("1e300", "-1e300", "1e-300", "5e-324", "-5e-324", "nan", "inf",
                  "250001")
 FUZZ_WORDS = ("plane-wave", "point-charge", "constant", "csv", "json", "true", "t.json", "..", "../t.csv", "", "a b")
 fuzz_garbage = (st.sampled_from(FUZZ_WORDS) | st.floats(-3.0, 3.0).map(repr) | st.integers(-2, 30).map(str)
-                | st.text(st.characters(blacklist_characters="\r\n#"), max_size=6))
+                | st.text(st.characters(exclude_characters="\r\n#"), max_size=6))
 
 
 @st.composite
@@ -780,7 +780,7 @@ def test_cli_contract_holds_for_random_documents(text):
                 assert math.isfinite(float(value)), (key, value)
         with open(report["wrote"], encoding="utf-8") as fh:
             table = fh.read()
-        if report["wrote"].endswith(".json") and table.startswith("{"):
+        if table.startswith("{"):  # JSON, whatever the file name says
             assert_finite_numbers(json.loads(table, parse_constant=float)["rows"])
         else:
             for cell in ",".join(table.splitlines()[1:]).split(","):
