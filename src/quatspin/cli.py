@@ -1,13 +1,11 @@
 """Command-line front end: run scenario files, validate them, list kinds.
 
 Exit codes: 0 success, 2 configuration error (malformed, non-UTF-8 or
-invalid scenario files, or parameters the library rejects), 3 I/O error.
+invalid scenario files, or parameters the library rejects), 3 I/O error,
+including stdout or stderr that cannot be written.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -47,52 +45,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(stream, lines, code: int) -> int:
+    """Write lines to stdout or stderr and return the exit code: code, or EXIT_IO if they could not be written."""
+    try:
+        stream.write("".join(f"{line}\n" for line in lines))
+        stream.flush()  # a failed write raises here, not at exit
+    except OSError as err:
+        # what stays buffered goes to os.devnull, or the interpreter's final flush fails again
+        # (Python docs, signal module, "Note on SIGPIPE"); an in-memory stream has no descriptor
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, stream.fileno())
+        except OSError:
+            pass
+        os.close(devnull)
+        if stream is not sys.stderr:
+            _report(sys.stderr, [f"error: cannot write output: {err}"], EXIT_IO)
+        return EXIT_IO
+    return code
+
+
 def _config_error(err: ValueError) -> int:
-    for line in err.errors if isinstance(err, ConfigError) else [f"{type(err).__name__}: {err}"]:
-        print(f"error: {line}", file=sys.stderr)
-    return EXIT_CONFIG
+    lines = err.errors if isinstance(err, ConfigError) else [f"{type(err).__name__}: {err}"]
+    return _report(sys.stderr, [f"error: {line}" for line in lines], EXIT_CONFIG)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list-kinds":
-        for kind in KINDS:
-            print(kind)
-        return EXIT_OK
+        return _report(sys.stdout, KINDS, EXIT_OK)
 
     try:
         scenario = load_scenario(args.scenario)
     except OSError as err:
-        print(f"error: cannot read scenario: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _report(sys.stderr, [f"error: cannot read scenario: {err}"], EXIT_IO)
     except ValueError as err:  # ConfigError, or UnicodeDecodeError for a non-UTF-8 file
         return _config_error(err)
 
     if args.command == "validate":
-        print(f"ok: {args.scenario} is a valid {scenario.kind!r} scenario")
-        return EXIT_OK
+        return _report(sys.stdout, [f"ok: {args.scenario} is a valid {scenario.kind!r} scenario"], EXIT_OK)
 
     if args.format and args.format != scenario.fmt:
         output = scenario.output
         stem, dot, ext = output.rpartition(".")
         if dot and ext in ("csv", "json"):
             output = f"{stem}.{args.format}"
-        scenario = dataclasses.replace(scenario, output=output, fmt=args.format)
+        scenario = scenario._replace(output=output, fmt=args.format)
 
     from .scenarios import run_scenario
 
     try:
         report = run_scenario(scenario, out_dir=args.out or os.environ.get(OUT_DIR_ENV) or ".")
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _report(sys.stderr, [f"error: {err}"], EXIT_IO)
     except ValueError as err:  # a constraint only the library checks, e.g. StepTooLarge
         return _config_error(err)
 
-    for line in report.lines():
-        print(line)
-    return EXIT_OK
+    # the table is written: a report that cannot be printed still exits 3
+    return _report(sys.stdout, report.lines(), EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,8 @@ runs it.  It imports no numpy, so the command line can list kinds, validate
 files and report configuration errors without paying for it.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 KINDS = ("pms", "helical", "resonance-curve", "em-check", "lorentz-check")
 EM_CASES = ("plane-wave", "point-charge", "constant")
@@ -25,15 +23,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Validated scenario: kind, typed params, output name/format, sweep seed."""
+class Scenario(namedtuple("Scenario", "kind params seed output fmt")):
+    """Validated scenario: kind, typed params, output name/format, sweep seed; ``_replace`` makes a changed copy."""
 
-    kind: str
-    params: dict
-    seed: int
-    output: str
-    fmt: str
+    __slots__ = ()
 
 
 def parse_scenario_text(text: str) -> dict:
@@ -75,14 +68,7 @@ def _parse_value(text: str):
     return text
 
 
-@dataclass(frozen=True)
-class _Field:
-    name: str
-    kind: type
-    required: bool = True
-    default: object = None
-    check: object = None
-    expect: str = ""
+_Field = namedtuple("_Field", "name kind required default check expect", defaults=(True, None, None, ""))
 
 
 def _finite(x):

@@ -353,8 +353,6 @@ def analytic_helical(params: HelicalParams, t: float) -> Quaternion:
     Unit norm for all t by construction.
     """
     w_rabi = params.rabi_rate
-    if w_rabi == 0.0:
-        raise DegenerateParams("gamma_width and delta_detune cannot both vanish")
     g = params.gamma_width / w_rabi
     d = params.delta_detune / w_rabi
     sr, cr = math.sin(0.5 * w_rabi * t), math.cos(0.5 * w_rabi * t)

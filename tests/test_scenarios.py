@@ -1,5 +1,5 @@
 import contextlib
-import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -168,6 +168,13 @@ def test_run_em_check_constant_exact(tmp_path):
     scn = validate_scenario({"kind": "em-check", "case": "constant", "n_levels": 2})
     report = run_scenario(scn, out_dir=str(tmp_path))
     assert report.summary["max_residual"] == 0.0
+
+
+def test_run_em_check_point_charge_converges(tmp_path):
+    # the field r / |r|^3 at the default steps; a wrong power of |r| leaves residuals of order 1 and no order
+    report = run_scenario(validate_scenario({"kind": "em-check", "case": "point-charge"}), out_dir=str(tmp_path))
+    assert report.summary["min_order"] > 1.8
+    assert report.summary["max_residual"] < 0.01
 
 
 def test_run_lorentz_check(tmp_path):
@@ -587,6 +594,118 @@ def test_cli_module_entry_point(tmp_path):
     assert "allowed kinds" in proc.stderr
 
 
+UNWRITABLE_OUT = {
+    "out-is-a-file": (lambda out: out.write_text(""), "[Errno 17] File exists"),
+    "table-is-a-directory": (lambda out: (out / "pms.csv").mkdir(parents=True), "[Errno 21] Is a directory"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE_OUT))
+def test_cli_unwritable_out_is_an_io_error(tmp_path, capsys, name):
+    make, message = UNWRITABLE_OUT[name]
+    path = write_scenario(tmp_path, RESONANT_PMS)
+    make(tmp_path / "out")
+    before = sorted(str(p) for p in tmp_path.rglob("*"))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}: ") and captured.err.count("\n") == 1
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == before  # no temporary file left behind
+
+
+# ---------------------------------------------------------------------------
+# the command line's contract when its own output cannot be written
+
+
+class FailingStream(io.StringIO):
+    """A stdout or stderr whose write raises err once the text written would reach line number at."""
+
+    def __init__(self, err=None, at=1):
+        super().__init__()
+        self.err, self.at, self.raised = err, at, False
+
+    def write(self, text):
+        if self.err is not None and self.getvalue().count("\n") + text.count("\n") >= self.at:
+            self.raised = True
+            raise self.err
+        return super().write(text)
+
+
+def run_main(argv, stdout, stderr) -> int:
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        return main(argv)
+
+
+# every command, and each stream it writes: (argv, scenario text or None for no file, stream, exit code)
+OUTPUT_CASES = {
+    "list-kinds": (["list-kinds"], None, "stdout", 0),
+    "validate": (["validate", "{scn}"], RESONANT_PMS, "stdout", 0),
+    "validate-invalid": (["validate", "{scn}"], "kind = pms\nxi1 = oops\n", "stderr", 2),
+    "validate-missing-file": (["validate", "{scn}"], None, "stderr", 3),
+    "run": (["run", "{scn}", "--out", "{out}"], RESONANT_PMS, "stdout", 0),
+    "run-invalid": (["run", "{scn}", "--out", "{out}"], "kind = pms\nxi1 = oops\n", "stderr", 2),
+    "run-library-error": (["run", "{scn}", "--out", "{out}"], RESONANT_CURVE.replace("gamma = 0.04", "gamma = 1e200"),
+                          "stderr", 2),
+    "run-missing-file": (["run", "{scn}", "--out", "{out}"], None, "stderr", 3),
+    "run-out-is-a-file": (["run", "{scn}", "--out", "{scn}"], RESONANT_PMS, "stderr", 3),
+}
+OUTPUT_FAULTS = {"epipe": errno.EPIPE, "enospc": errno.ENOSPC}
+
+
+def output_case(tmp_path, name):
+    """The case's argv for an --out directory, with its scenario file written, its stream and its exit code."""
+    template, text, stream, code = OUTPUT_CASES[name]
+    scn = tmp_path / "scn.txt"
+    if text is not None:
+        scn.write_text(text, encoding="utf-8")
+    return (lambda out: [arg.format(scn=scn, out=out) for arg in template]), stream, code
+
+
+@pytest.mark.parametrize("fault", sorted(OUTPUT_FAULTS))
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
+def test_cli_output_fault_exits_3_without_traceback(tmp_path, name, where, fault):
+    argv, stream, code = output_case(tmp_path, name)
+    other = "stderr" if stream == "stdout" else "stdout"
+    clean = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    assert run_main(argv(tmp_path / "clean"), clean["stdout"], clean["stderr"]) == code
+    lines = clean[stream].getvalue().count("\n")
+    assert lines >= 1 and clean[other].getvalue() == ""
+
+    err = OSError(OUTPUT_FAULTS[fault], os.strerror(OUTPUT_FAULTS[fault]))
+    streams = {other: io.StringIO(), stream: FailingStream(err, 1 if where == "first" else lines)}
+    assert run_main(argv(tmp_path / "out"), streams["stdout"], streams["stderr"]) == 3
+    assert streams[stream].raised
+    # a failed stdout is reported on stderr; after a failed stderr nothing is left to report on
+    assert streams[other].getvalue() == (f"error: cannot write output: {err}\n" if stream == "stdout" else "")
+    if name == "run":  # the table is written before the report is printed
+        assert os.listdir(tmp_path / "out") == ["pms.csv"]
+        assert (tmp_path / "out" / "pms.csv").read_bytes() == (tmp_path / "clean" / "pms.csv").read_bytes()
+
+
+# a buffered stream fails at its flush: unless the stream is then pointed at os.devnull, the interpreter's final
+# flush fails again and the process exits 120
+@pytest.mark.parametrize("name", ["list-kinds", "run", "validate-missing-file"])
+def test_cli_closed_pipe_exits_3_after_the_final_flush(tmp_path, name):
+    argv, stream, _ = output_case(tmp_path, name)
+    other = "stderr" if stream == "stdout" else "stdout"
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quatspin.cli", *argv(tmp_path / "out")], env=env,
+                              **{stream: write_end, other: subprocess.PIPE})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    expected = b"error: cannot write output: [Errno 32] Broken pipe\n" if stream == "stdout" else b""
+    assert getattr(proc, other) == expected
+    if name == "run":
+        assert os.listdir(tmp_path / "out") == ["pms.csv"]
+
+
 # every input ROADMAP item 4 reproduced as a crash (exit 1 with a traceback)
 # or as a silent escape from --out
 ITEM4_INPUTS = {
@@ -683,7 +802,7 @@ def test_shipped_scenario_tables_keep_their_golden_digests(tmp_path):
         scn = load_scenario(os.path.join(SCENARIO_DIR, name))
         for fmt in ("csv", "json"):
             output = f"{scn.output.rpartition('.')[0]}.{fmt}"
-            report = run_scenario(dataclasses.replace(scn, fmt=fmt, output=output), out_dir=str(tmp_path))
+            report = run_scenario(scn._replace(fmt=fmt, output=output), out_dir=str(tmp_path))
             with open(report.outputs[0], "rb") as fh:
                 digests[name, fmt] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == SHIPPED_DIGESTS
@@ -744,11 +863,21 @@ def assert_finite_numbers(value):
         assert math.isfinite(value)
 
 
+# no fault, or stdout or stderr failing with EPIPE or ENOSPC once it would reach the drawn line
+fuzz_output_faults = st.none() | st.tuples(st.sampled_from(["stdout", "stderr"]),
+                                          st.sampled_from(sorted(OUTPUT_FAULTS.values())), st.integers(1, 12))
+
+
 @settings(max_examples=400, deadline=None)
-@given(fuzz_documents())
-def test_cli_contract_holds_for_random_documents(text):
+@given(fuzz_documents(), fuzz_output_faults)
+def test_cli_contract_holds_for_random_documents(text, fault):
     # run only what is cheap; documents at the size bounds are validated
     command = "run" if rows_of_a_run(text) <= 5000 else "validate"
+    streams = {"stdout": FailingStream(), "stderr": FailingStream()}
+    if fault is not None:
+        name, number, at = fault
+        streams[name] = FailingStream(OSError(number, os.strerror(number)), at)
+    stdout, stderr = streams["stdout"], streams["stderr"]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
         scn = os.path.join(root, "scn.txt")
@@ -756,7 +885,6 @@ def test_cli_contract_holds_for_random_documents(text):
             fh.write(text)
         out_dir = os.path.join(root, "out")
         argv = [command, scn] + (["--out", out_dir] if command == "run" else [])
-        stdout, stderr = io.StringIO(), io.StringIO()
         os.chdir(root)  # a relative write that escaped --out would land here
         try:
             with warnings.catch_warnings(record=True) as caught, \
@@ -765,11 +893,14 @@ def test_cli_contract_holds_for_random_documents(text):
                 code = main(argv)
         finally:
             os.chdir(cwd)
-        assert code in (0, 2, 3), stderr.getvalue()
+        assert code == 3 if stdout.raised or stderr.raised else code in (0, 2, 3), stderr.getvalue()
         assert not caught, [str(w.message) for w in caught]
         assert "Traceback" not in stderr.getvalue()
         assert sorted(os.listdir(root)) in (["scn.txt"], ["out", "scn.txt"])
         written = sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []
+        if stdout.raised and command == "run":  # the table is written before the report is printed
+            assert written == [validate_scenario(parse_scenario_text(text)).output]
+            return
         if code != 0 or command == "validate":
             assert written == []
             return
