@@ -10,7 +10,7 @@ import os
 import sys
 
 # the schema needs only the standard library; numpy comes with the runners, once a scenario has validated
-from .schema import KINDS, OUT_DIR_ENV, ConfigError, load_scenario
+from .schema import FORMATS, KINDS, OUT_DIR_ENV, ConfigError, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,8 +27,15 @@ def _thread_count(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # usage, help and error text goes through _report too: argparse's own writer drops a failed write
+        if message and _report(file or sys.stderr, [message.removesuffix("\n")], EXIT_OK) == EXIT_IO:
+            raise SystemExit(EXIT_IO)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quatspin", description=__doc__)
+    parser = _Parser(prog="quatspin", description=__doc__)  # add_subparsers builds its parsers as _Parser too
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario file and write its output table")
@@ -36,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
     run.add_argument("--threads", type=_thread_count, default=None, metavar="N",
                      help="an integer >= 1, ignored: every sweep runs in the calling thread")
-    run.add_argument("--format", choices=("csv", "json"), default=None, help="override the scenario's output format")
+    run.add_argument("--format", choices=FORMATS, default=None, help="override the scenario's output format")
 
     val = sub.add_parser("validate", help="check a scenario file and report every problem")
     val.add_argument("scenario", help="path to a scenario file")
@@ -89,7 +96,7 @@ def main(argv=None) -> int:
     if args.format and args.format != scenario.fmt:
         output = scenario.output
         stem, dot, ext = output.rpartition(".")
-        if dot and ext in ("csv", "json"):
+        if dot and ext in FORMATS:
             output = f"{stem}.{args.format}"
         scenario = scenario._replace(output=output, fmt=args.format)
 

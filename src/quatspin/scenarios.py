@@ -151,23 +151,24 @@ def _run_lorentz_check(scn: Scenario):
     sample = emfield.EmFieldSample(e=fields[:, :3], b=fields[:, 3:])
     i1, i2 = emfield.lorentz_invariants(sample)
     w0, _ = emfield.energy_quadratic(sample)
-    f, triple = emfield.em_tensor(sample).f, lorentz.field_triple(sample)
+    f = emfield.em_tensor(sample).f
+    closed = f.copy()  # the closed forms are linear: they carry f = B - i E as they carry the triple -f
     first = np.cumsum(counts) - counts
     for j in range(counts.max()):  # step j applies generator j of every case that has one
         active = counts > j
         g = first[active] + j
         nu0, nu = lorentz.generator_batch(axes[g], angles[g], boosts[g])
         f[active] = lorentz.transform_batch(nu0, nu, boosts[g], f[active])
-        triple[active] = lorentz.closed_form_batch(triple[active], axes[g], angles[g], boosts[g])
-    tensor = emfield.EmTensor(f=f)
-    i1p, i2p = emfield.lorentz_invariants(tensor.fields())
-    w0p, _ = emfield.energy_quadratic(tensor.fields())
+        closed[active] = lorentz.closed_form_batch(closed[active], axes[g], angles[g], boosts[g])
+    out = emfield.EmTensor(f=f).fields()
+    i1p, i2p = emfield.lorentz_invariants(out)
+    w0p, _ = emfield.energy_quadratic(out)
     # relative to the quadratic field scale: boosts amplify the fields, and
     # the invariants are recovered only through cancellation at that scale;
     # the two routes to the transformed field differ at its linear scale
     scale = np.maximum(1.0, np.maximum(w0, w0p))
-    closed = np.max(np.abs(triple - lorentz.triple_from_tensor(tensor)), axis=1) / np.sqrt(scale)
-    table = np.column_stack([np.abs(i1p - i1) / scale, np.abs(i2p - i2) / scale, closed, np.abs(w0p - w0)])
+    closed_vs_conj = np.max(np.abs(closed - f), axis=1) / np.sqrt(scale)
+    table = np.column_stack([np.abs(i1p - i1) / scale, np.abs(i2p - i2) / scale, closed_vs_conj, np.abs(w0p - w0)])
     names = ("i1_rel_err", "i2_rel_err", "closed_vs_conj", "w0_change")
     rows = [[i, name, value] for i, values in enumerate(table.tolist()) for name, value in zip(names, values)]
     summary = {f"max_{name}": float(col.max()) for name, col in zip(names, table.T)}
@@ -220,8 +221,8 @@ def write_table(path: str, columns, rows, fmt: str):
     """
     cols = list(zip(*rows, strict=True))
     kinds = [set(map(type, col)) for col in cols]
+    _refuse_non_finite(columns, cols, kinds)
     if fmt == "csv":
-        _refuse_non_finite(columns, cols, kinds)
         encoded = []
         for j, (col, kind) in enumerate(zip(cols, kinds)):
             twin = next((i for i in range(j) if col[0] is cols[i][0] and all(map(operator.is_, col, cols[i]))), None)
@@ -235,12 +236,9 @@ def write_table(path: str, columns, rows, fmt: str):
     else:
         # a column of exact floats, ints and strings is already what _jsonable returns
         encoded = [col if kind <= {float, int, str} else map(_jsonable, col) for col, kind in zip(cols, kinds)]
-        try:  # RFC 8259 has no NaN or Infinity
-            doc = json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":"),
-                             allow_nan=False)
-        except ValueError:
-            _refuse_non_finite(columns, cols, kinds)
-            raise
+        # RFC 8259 has no NaN or Infinity; _refuse_non_finite has named the column, allow_nan=False stays as a guard
+        doc = json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":"),
+                         allow_nan=False)
         lines = [doc + "\n"]
     # a temporary file renamed onto path: path holds the whole table or what it held before
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")

@@ -10,7 +10,7 @@ files and report configuration errors without paying for it.
 import math
 from collections import namedtuple
 
-KINDS = ("pms", "helical", "resonance-curve", "em-check", "lorentz-check")
+FORMATS = ("csv", "json")
 EM_CASES = ("plane-wave", "point-charge", "constant")
 OUT_DIR_ENV = "QUATSPIN_OUT_DIR"
 
@@ -71,42 +71,38 @@ def _parse_value(text: str):
 _Field = namedtuple("_Field", "name kind required default check expect", defaults=(True, None, None, ""))
 
 
-def _finite(x):
-    return math.isfinite(x)
-
-
 _COMMON = (
-    _Field("seed", int, required=False, default=0),
+    _Field("seed", int, required=False, default=0, check=lambda v: v >= 0, expect=">= 0"),
     # a directory part could put the table outside the output directory; empty selects the default name
     _Field("output", str, required=False, default=None,
            check=lambda v: v == "" or (v not in (".", "..") and "/" not in v and "\\" not in v),
            expect="a bare file name (no directory part, not '.' or '..')"),
-    _Field("format", str, required=False, default="csv", check=lambda v: v in ("csv", "json"),
-           expect="one of csv, json"),
+    _Field("format", str, required=False, default="csv", check=lambda v: v in FORMATS,
+           expect="one of " + ", ".join(FORMATS)),
 )
 
 # the size bounds keep every table at about 10^6 rows at most, as spin.MAX_STEPS does for helical
 _SCHEMAS = {
     "pms": (
-        _Field("xi1", float, check=_finite, expect="finite"),
-        _Field("xi2", float, check=_finite, expect="finite"),
-        _Field("theta", float, check=_finite, expect="finite"),
+        _Field("xi1", float, check=math.isfinite, expect="finite"),
+        _Field("xi2", float, check=math.isfinite, expect="finite"),
+        _Field("theta", float, check=math.isfinite, expect="finite"),
         _Field("n_blocks", int, check=lambda v: 0 <= v <= 499_999, expect="0..499999"),
     ),
     "helical": (
-        _Field("gamma", float, check=lambda v: _finite(v) and v >= 0, expect="finite and >= 0"),
-        _Field("delta", float, check=_finite, expect="finite"),
-        _Field("omega", float, check=_finite, expect="finite"),
-        _Field("t_max", float, check=lambda v: _finite(v) and v > 0, expect="> 0"),
-        _Field("dt", float, check=lambda v: _finite(v) and v > 0, expect="> 0"),
+        _Field("gamma", float, check=lambda v: math.isfinite(v) and v >= 0, expect="finite and >= 0"),
+        _Field("delta", float, check=math.isfinite, expect="finite"),
+        _Field("omega", float, check=math.isfinite, expect="finite"),
+        _Field("t_max", float, check=lambda v: math.isfinite(v) and v > 0, expect="> 0"),
+        _Field("dt", float, check=lambda v: math.isfinite(v) and v > 0, expect="> 0"),
         _Field("sign", int, required=False, default=1, check=lambda v: v in (1, -1), expect="1 or -1"),
     ),
     "resonance-curve": (
-        _Field("gamma", float, check=lambda v: _finite(v) and v >= 0, expect="finite and >= 0"),
-        _Field("delta_min", float, check=_finite, expect="finite"),
-        _Field("delta_max", float, check=_finite, expect="finite"),
+        _Field("gamma", float, check=lambda v: math.isfinite(v) and v >= 0, expect="finite and >= 0"),
+        _Field("delta_min", float, check=math.isfinite, expect="finite"),
+        _Field("delta_max", float, check=math.isfinite, expect="finite"),
         _Field("n_points", int, check=lambda v: 2 <= v <= 1_000_000, expect="2..1000000"),
-        _Field("t_pass", float, check=lambda v: _finite(v) and v >= 0, expect=">= 0"),
+        _Field("t_pass", float, check=lambda v: math.isfinite(v) and v >= 0, expect=">= 0"),
     ),
     "em-check": (
         _Field("case", str, check=lambda v: v in EM_CASES, expect="one of " + ", ".join(EM_CASES)),
@@ -122,6 +118,7 @@ _SCHEMAS = {
                check=lambda v: 0 < v <= 50, expect="in (0, 50]"),
     ),
 }
+KINDS = tuple(_SCHEMAS)
 
 
 def _coerce(field: _Field, value):
@@ -176,8 +173,9 @@ def validate_scenario(raw: dict) -> Scenario:
 
     # each check across keys runs only when every key it reads is valid: one error per fault
     if kind == "resonance-curve" and "delta_min" in values and "delta_max" in values:
-        if not values["delta_max"] > values["delta_min"]:
-            errors.append("key 'delta_max': must be greater than delta_min")
+        # resonance_curve builds its grid from the span, which must not overflow
+        if not 0.0 < values["delta_max"] - values["delta_min"] < math.inf:
+            errors.append("key 'delta_max': must be greater than delta_min, by a finite span")
     if kind == "helical" and "gamma" in values and "delta" in values:
         if values["gamma"] == 0.0 and values["delta"] == 0.0:
             errors.append("keys 'gamma' and 'delta': cannot both be 0")

@@ -446,5 +446,7 @@ def resonance_curve(gamma_width: float, delta_min: float, delta_max: float, n_po
         raise EmptyRange("n_points must be >= 2")
     if not delta_max > delta_min:
         raise EmptyRange("need delta_max > delta_min")
+    if not math.isfinite(delta_max - delta_min):  # np.linspace would overflow, with a warning
+        raise ValueError(f"delta_max - delta_min must be finite, got {delta_max!r} - {delta_min!r}")
     deltas = np.linspace(delta_min, delta_max, n_points)
     return np.column_stack([deltas, *_probabilities(t_pass, gamma_width, deltas)])

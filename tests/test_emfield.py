@@ -380,6 +380,8 @@ def test_batched_samples_match_row_by_row():
         EmFieldSample(e=e, b=b[0])
     with pytest.raises(ValueError):
         EmTensor(f=np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="j must be a 3-vector"):  # a source is sampled at one point
+        FourCurrent(rho=1.0, j=np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

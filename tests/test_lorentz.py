@@ -85,6 +85,8 @@ def test_boost_generator_and_velocity():
     for _ in range(50):
         gen = boost_generator(random_axis(rng), rng.uniform(-3, 3))
         assert gen.nu0**2 - float(gen.nu @ gen.nu) == pytest.approx(1.0, abs=1e-12)
+    rest = boost_from_velocity([0.0, 0.0, 0.0])
+    assert rest.nu0 == 1.0 and np.array_equal(rest.nu, np.zeros(3)) and rest.kind == KIND_BOOST
     with pytest.raises(SuperluminalSpeed):
         boost_from_velocity([1.0, 0.0, 0.0])
     with pytest.raises(SuperluminalSpeed):
@@ -98,6 +100,8 @@ def test_constraint_checked_at_construction():
         LorentzQuat(nu0=1.0, nu=np.array([0.1, 0, 0]), kind=KIND_BOOST)
     with pytest.raises(ValueError):
         LorentzQuat(nu0=1.0, nu=np.zeros(3), kind="shear")
+    with pytest.raises(ValueError, match="nu must be a 3-vector"):
+        LorentzQuat(nu0=1.0, nu=np.zeros(4), kind=KIND_ROTATION)
 
 
 def test_boost_constraint_is_relative_to_nu0_squared():

@@ -51,6 +51,13 @@ def test_basis_products_match_table_exactly():
         assert np.array_equal(basis[i] @ basis[j], expected), (i, j)
 
 
+def test_from_array_and_normalized_refuse_bad_input():
+    with pytest.raises(ValueError, match="expected 4 components, got shape \\(2, 2\\)"):
+        Quaternion.from_array(np.eye(2))
+    with pytest.raises(NonUnitQuaternion, match="cannot normalize the zero quaternion"):
+        Quaternion(0.0, 0.0, 0.0, 0.0).normalized()
+
+
 def test_quat_mul_identity_and_basis():
     rng = np.random.default_rng(1)
     q = random_quat(rng)
@@ -144,6 +151,8 @@ def test_from_axis_angle():
     assert np.allclose(q4.as_array(), [1, 0, 0, 0], atol=1e-15)
     with pytest.raises(NonUnitAxis):
         from_axis_angle([0, 1, 1], 0.3)
+    with pytest.raises(NonUnitAxis, match="axis must be a 3-vector, got shape \\(4,\\)"):
+        from_axis_angle([0, 0, 1, 0], 0.3)
 
 
 @pytest.mark.parametrize("axis", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]])

@@ -53,10 +53,11 @@ def test_parse_scenario_text():
 
 def test_parse_scenario_text_rejects_malformed_lines():
     with pytest.raises(ConfigError) as err:
-        parse_scenario_text("kind pms\nxi1 = 0.3\nxi1 = 0.4\n")
+        parse_scenario_text("kind pms\nxi1 = 0.3\nxi1 = 0.4\n = 1\n")
     messages = "\n".join(err.value.errors)
     assert "line 1" in messages
     assert "duplicate" in messages
+    assert "line 4: empty key" in messages
 
 
 def test_validate_minimal_helical():
@@ -94,13 +95,14 @@ def test_validate_output_must_be_a_bare_file_name(name):
 
 def test_validate_aggregates_every_violation():
     with pytest.raises(ConfigError) as err:
-        validate_scenario({"kind": "pms", "xi1": "wat", "n_blocks": -3, "bogus": 1})
+        validate_scenario({"kind": "pms", "xi1": "wat", "n_blocks": -3, "bogus": 1, "seed": -1})
     joined = " ".join(err.value.errors)
+    assert "key 'seed': value -1 must be >= 0" in joined  # numpy's seed error named no key
     assert "xi1" in joined
     assert "n_blocks" in joined
     assert "bogus" in joined
     assert "xi2" in joined and "theta" in joined  # missing keys reported too
-    assert len(err.value.errors) >= 5
+    assert len(err.value.errors) >= 6
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +566,19 @@ def test_cli_em_check_step_out_of_bounds_is_a_config_error(tmp_path, capsys, cas
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("high", ["1e308", "1.7976931348623157e308"])
+def test_cli_resonance_span_that_overflows_is_a_config_error(tmp_path, capsys, high):
+    # np.linspace warned twice about the overflowing span before the run exited 2
+    path = write_scenario(tmp_path, f"kind = resonance-curve\ngamma = 0.04\ndelta_min = -{high}\ndelta_max = {high}\n"
+                                    "n_points = 7\nt_pass = 20.0\n")
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: key 'delta_max': must be greater than delta_min, by a finite span\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     path = write_scenario(tmp_path, "kind = lorentz-check\nn_cases = 30\nseed = 3\n")
     assert main(["run", path, "--out", str(tmp_path / "r1")]) == 0
@@ -633,12 +648,17 @@ class FailingStream(io.StringIO):
 
 def run_main(argv, stdout, stderr) -> int:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        return main(argv)
+        try:
+            return main(argv)
+        except SystemExit as stop:  # argparse exits itself, after a usage error or --help
+            return stop.code
 
 
 # every command, and each stream it writes: (argv, scenario text or None for no file, stream, exit code)
 OUTPUT_CASES = {
     "list-kinds": (["list-kinds"], None, "stdout", 0),
+    "usage-error": (["bogus"], None, "stderr", 2),
+    "help": (["--help"], None, "stdout", 0),
     "validate": (["validate", "{scn}"], RESONANT_PMS, "stdout", 0),
     "validate-invalid": (["validate", "{scn}"], "kind = pms\nxi1 = oops\n", "stderr", 2),
     "validate-missing-file": (["validate", "{scn}"], None, "stderr", 3),
@@ -685,7 +705,7 @@ def test_cli_output_fault_exits_3_without_traceback(tmp_path, name, where, fault
 
 # a buffered stream fails at its flush: unless the stream is then pointed at os.devnull, the interpreter's final
 # flush fails again and the process exits 120
-@pytest.mark.parametrize("name", ["list-kinds", "run", "validate-missing-file"])
+@pytest.mark.parametrize("name", ["list-kinds", "run", "validate-missing-file", "usage-error", "help"])
 def test_cli_closed_pipe_exits_3_after_the_final_flush(tmp_path, name):
     argv, stream, _ = output_case(tmp_path, name)
     other = "stderr" if stream == "stdout" else "stdout"
@@ -819,9 +839,10 @@ FUZZ_BASE = {
     "lorentz-check": {"n_cases": "20", "max_generators": "5", "rapidity_max": "2.0"},
 }
 FUZZ_COMMON = {"seed": "0", "output": "t.csv", "format": "csv"}
-FUZZ_EXTREMES = ("1e300", "-1e300", "1e-300", "5e-324", "-5e-324", "nan", "inf", "-inf", "0", "-0.0", "1", "-1", "2",
-                 "5", "6", "12", "13", "50", "51", "1e-4", "0.25", "499999", "500000", "1000000", "1000001", "250000",
-                 "250001")
+# the difference of two values drawn from +-1e308 overflows, as a resonance-curve span can
+FUZZ_EXTREMES = ("1e308", "-1e308", "1e300", "-1e300", "1e-300", "5e-324", "-5e-324", "nan", "inf", "-inf", "0", "-0.0",
+                 "1", "-1", "2", "5", "6", "12", "13", "50", "51", "1e-4", "0.25", "499999", "500000", "1000000",
+                 "1000001", "250000", "250001")
 FUZZ_WORDS = ("plane-wave", "point-charge", "constant", "csv", "json", "true", "t.json", "..", "../t.csv", "", "a b")
 fuzz_garbage = (st.sampled_from(FUZZ_WORDS) | st.floats(-3.0, 3.0).map(repr) | st.integers(-2, 30).map(str)
                 | st.text(st.characters(exclude_characters="\r\n#"), max_size=6))

@@ -112,6 +112,8 @@ def test_pms_propagate_zero_blocks():
 def test_pms_propagate_rejects_non_unit_polarization():
     with pytest.raises(NonUnitPolarization):
         pms_propagate(PmsConfig(2, 0.3, 0.01, 0.2), [0.0, 0.0, 1.5])
+    with pytest.raises(NonUnitPolarization, match="polarization must be a 3-vector, got shape \\(4,\\)"):
+        pms_propagate(PmsConfig(2, 0.3, 0.01, 0.2), [0.0, 0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("p0", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]])
@@ -474,6 +476,13 @@ def test_spin_trajectory_validation():
         SpinTrajectory(times=np.array([0.0, 1.0]), states=np.array([[1, 0, 0, 0], [2, 0, 0, 0.0]]))
     with pytest.raises(ValueError, match="unit norm"):
         SpinTrajectory(times=np.array([0.0, 1.0]), states=np.array([[1, 0, 0, 0], [math.nan, 0, 0, 0.0]]))
+    unit = np.array([[1, 0, 0, 0], [1, 0, 0, 0.0]])
+    with pytest.raises(ValueError, match="times must be \\(n,\\), states \\(n, 4\\)"):
+        SpinTrajectory(times=np.array([0.0, 1.0]), states=unit[:, :3])
+    with pytest.raises(ValueError, match="polar must have shape \\(n, 2, 3\\)"):
+        SpinTrajectory(times=np.array([0.0, 1.0]), states=unit, polar=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="mid_states must have shape \\(n, 4\\)"):
+        SpinTrajectory(times=np.array([0.0, 1.0]), states=unit, mid_states=unit[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +514,17 @@ def test_helical_params_degenerate():
         HelicalParams(0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.1, 1.0), "gamma_width must be finite"),
+    ((0.1, math.inf, 1.0), "delta_detune must be finite"),
+    ((0.1, 0.0, -math.inf), "omega_drive must be finite"),
+    ((-0.1, 0.1, 1.0), "gamma_width must be >= 0"),
+])
+def test_helical_params_refuse_non_finite_or_negative_width(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HelicalParams(*args)
+
+
 def test_helical_params_from_field():
     from quatspin.spin import ZeroField
 
@@ -527,6 +547,8 @@ def test_helical_params_from_field():
 
     with pytest.raises(ZeroField):
         helical_params_from_field(HelicalFieldSpec(0.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ZeroField, match="gamma must be nonzero"):
+        helical_field(HelicalParams(0.1, 0.0, 0.0), gamma=0.0)
 
 
 def test_polarization_evolution_branches():
@@ -629,3 +651,6 @@ def test_resonance_curve():
         resonance_curve(g, -0.4, 0.4, 1, 1.0)
     with pytest.raises(EmptyRange):
         resonance_curve(g, 0.4, -0.4, 10, 1.0)
+    # an overflowing span: np.linspace warned, and the grid held inf and NaN
+    with pytest.raises(ValueError, match="delta_max - delta_min must be finite"):
+        resonance_curve(g, -1e308, 1e308, 10, 1.0)
