@@ -113,5 +113,21 @@ def main(argv=None) -> int:
     return _report(sys.stdout, report.lines(), EXIT_OK)
 
 
+def entry():
+    """Process entry of ``quatspin`` and ``python -m quatspin.cli``: main(), a flush, then os._exit.
+
+    os._exit skips the interpreter's teardown (tens of milliseconds once numpy is loaded).  Nothing is left to
+    do at exit: main has renamed its table into place, and quatspin starts no thread and registers no atexit
+    hook.  A tool that writes at exit, such as a profiler or coverage, calls main() instead.
+    """
+    try:
+        code = main()
+    except SystemExit as stop:  # argparse exits itself, after --help or a usage error
+        code = stop.code
+    for stream in (sys.stdout, sys.stderr):  # _report flushed every line; a flush failing here still exits 3
+        code = _report(stream, [], code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

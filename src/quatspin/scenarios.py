@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import emfield, lorentz, spin
+# every kind needs quaternion; each runner imports the other modules it calls, so a run loads only its kind's
 from .quaternion import rotate_batch
 # load_scenario is bound here too, so that callers load and run through this one module
 from .schema import Scenario, load_scenario  # noqa: F401
@@ -46,6 +46,7 @@ _TRAJ_COLUMNS = ("step", "t", "s0", "sx", "sy", "sz", "px", "py", "pz", "px_mid"
 
 
 def _run_pms(scn: Scenario):
+    from . import spin
     p = scn.params
     cfg = spin.PmsConfig(n_blocks=p["n_blocks"], xi1=p["xi1"], xi2=p["xi2"], theta=p["theta"])
     p0 = np.array([0.0, 0.0, 1.0])
@@ -60,6 +61,7 @@ def _run_pms(scn: Scenario):
 
 
 def _run_helical(scn: Scenario):
+    from . import spin
     p = scn.params
     params = spin.HelicalParams(gamma_width=p["gamma"], delta_detune=p["delta"], omega_drive=p["omega"])
     traj = spin.integrate_spin(spin.helical_field(params), spin.IDENTITY, (0.0, p["t_max"]), p["dt"])
@@ -73,6 +75,7 @@ def _run_helical(scn: Scenario):
 
 
 def _run_resonance_curve(scn: Scenario):
+    from . import spin
     p = scn.params
     rows = spin.resonance_curve(p["gamma"], p["delta_min"], p["delta_max"], p["n_points"], p["t_pass"]).tolist()
     peak = max(rows, key=lambda r: r[1])
@@ -81,6 +84,7 @@ def _run_resonance_curve(scn: Scenario):
 
 def _em_case(name: str):
     """Analytic source-free field and a safe evaluation point for one case."""
+    from . import emfield
     if name == "plane-wave":
         # oblique propagation: for an axis-aligned wave the equal-step
         # stencil errors cancel exactly and no convergence order is visible
@@ -106,6 +110,7 @@ def _em_case(name: str):
 
 
 def _run_em_check(scn: Scenario):
+    from . import emfield
     p = scn.params
     fld, point = _em_case(p["case"])
     steps = [p["h0"] / 2.0**i for i in range(p["n_levels"])]
@@ -135,6 +140,7 @@ def _run_em_check(scn: Scenario):
 
 
 def _run_lorentz_check(scn: Scenario):
+    from . import emfield, lorentz
     p = scn.params
     rng = np.random.default_rng(scn.seed)
     n, r = p["n_cases"], p["rapidity_max"]
@@ -256,6 +262,9 @@ def run_scenario(scn: Scenario, out_dir: str = ".") -> RunReport:
     """Execute a validated scenario and write its output table."""
     started = time.perf_counter()
     columns, rows, summary = _RUNNERS[scn.kind](scn)
+    for key in sorted(summary):  # refused by name before anything is written, as a table cell is
+        if not math.isfinite(summary[key]):
+            raise ValueError(f"summary key {key!r} holds a NaN or infinite value")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, scn.output)
     write_table(path, columns, rows, scn.fmt)

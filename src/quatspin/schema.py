@@ -139,6 +139,21 @@ def _first_step_angle(v: dict) -> float:
     return min(v["dt"], v["t_max"]) * math.sqrt(v["gamma"] * v["gamma"] + d * d)
 
 
+def _probability_overflow(v: dict):
+    """The error naming the key if resonance_curve's probabilities overflow on the grid, else None."""
+    delta = max(abs(v["delta_min"]), abs(v["delta_max"]))
+    # w^2 and the phase at the grid's largest |delta|, computed as spin._probabilities computes them, so
+    # that they overflow alike
+    w_sq = v["gamma"] * v["gamma"] + delta * delta
+    if not math.isfinite(w_sq):
+        key = max(("gamma", "delta_min", "delta_max"), key=lambda k: abs(v[k]))
+        return f"key {key!r}: gamma^2 + max(|delta_min|, |delta_max|)^2 overflows"
+    phase = 0.5 * v["t_pass"] * math.sqrt(w_sq)
+    if not math.isfinite(phase):
+        return f"key 't_pass': the phase 0.5 * t_pass * sqrt(gamma^2 + max(|delta_min|, |delta_max|)^2) overflows"
+    return None
+
+
 def validate_scenario(raw: dict) -> Scenario:
     """Type and range-check a raw document; raises ConfigError naming every problem."""
     errors = []
@@ -176,6 +191,8 @@ def validate_scenario(raw: dict) -> Scenario:
         # resonance_curve builds its grid from the span, which must not overflow
         if not 0.0 < values["delta_max"] - values["delta_min"] < math.inf:
             errors.append("key 'delta_max': must be greater than delta_min, by a finite span")
+        elif "gamma" in values and "t_pass" in values and (overflow := _probability_overflow(values)):
+            errors.append(overflow)
     if kind == "helical" and "gamma" in values and "delta" in values:
         if values["gamma"] == 0.0 and values["delta"] == 0.0:
             errors.append("keys 'gamma' and 'delta': cannot both be 0")

@@ -1,11 +1,14 @@
+import ast
 import contextlib
 import errno
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +24,7 @@ import quatspin
 from quatspin.cli import main
 from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
 from quatspin.lorentz import boost_generator, field_triple, rotation_generator
+from quatspin import cli, scenarios
 from quatspin.scenarios import run_scenario, write_table
 from quatspin.schema import ConfigError, load_scenario, parse_scenario_text, validate_scenario
 
@@ -520,19 +524,39 @@ def test_cli_run_format_override(tmp_path):
     assert (tmp_path / "out" / "pms.json").exists()
 
 
-def test_cli_non_finite_json_table_is_a_config_error(tmp_path, capsys):
-    # the probabilities of so wide a resonance are NaN
-    path = write_scenario(tmp_path, RESONANT_CURVE.replace("gamma = 0.04", "gamma = 1e200") + "format = json\n")
+def nan_table_runner(scn):
+    """A resonance-curve runner whose table holds a NaN: the schema refuses every document known to make one."""
+    return ("delta", "p_down", "p_up"), [[0.0, 0.5, 0.5], [0.1, math.nan, 1.0]], {"peak_p_down": 0.5}
+
+
+def test_cli_non_finite_json_table_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(scenarios._RUNNERS, "resonance-curve", nan_table_runner)
+    path = write_scenario(tmp_path, RESONANT_CURVE + "format = json\n")
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert "error: ValueError: column 'p_down' holds a NaN or infinite value" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_cli_non_finite_csv_table_is_a_config_error(tmp_path, capsys):
-    path = write_scenario(tmp_path, RESONANT_CURVE.replace("gamma = 0.04", "gamma = 1e200"))
+def test_cli_non_finite_csv_table_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(scenarios._RUNNERS, "resonance-curve", nan_table_runner)
+    path = write_scenario(tmp_path, RESONANT_CURVE)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert "error: ValueError: column 'p_down' holds a NaN or infinite value" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cli_non_finite_summary_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    def runner(scn):
+        return ("delta", "p_down", "p_up"), [[0.0, 0.5, 0.5]], {"peak_delta": 0.0, "peak_p_down": value, "z": value}
+
+    monkeypatch.setitem(scenarios._RUNNERS, "resonance-curve", runner)
+    path = write_scenario(tmp_path, RESONANT_CURVE)
+    with pytest.raises(ValueError, match=r"^summary key 'peak_p_down' holds a NaN or infinite value$"):
+        run_scenario(load_scenario(path), out_dir=str(tmp_path / "out"))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: ValueError: summary key 'peak_p_down' holds a NaN or infinite value\n"
+    assert not (tmp_path / "out").exists()  # refused before the output directory is made
 
 
 def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -664,7 +688,9 @@ OUTPUT_CASES = {
     "validate-missing-file": (["validate", "{scn}"], None, "stderr", 3),
     "run": (["run", "{scn}", "--out", "{out}"], RESONANT_PMS, "stdout", 0),
     "run-invalid": (["run", "{scn}", "--out", "{out}"], "kind = pms\nxi1 = oops\n", "stderr", 2),
-    "run-library-error": (["run", "{scn}", "--out", "{out}"], RESONANT_CURVE.replace("gamma = 0.04", "gamma = 1e200"),
+    # |B|^2 = 1e-400 underflows, so the schema reads a first step of 0 rad, but the RK4 step quaternion overflows
+    "run-library-error": (["run", "{scn}", "--out", "{out}"],
+                          "kind = helical\ngamma = 1e-200\ndelta = 0.0\nomega = 0.0\nt_max = 1e200\ndt = 1e200\n",
                           "stderr", 2),
     "run-missing-file": (["run", "{scn}", "--out", "{out}"], None, "stderr", 3),
     "run-out-is-a-file": (["run", "{scn}", "--out", "{scn}"], RESONANT_PMS, "stderr", 3),
@@ -724,6 +750,83 @@ def test_cli_closed_pipe_exits_3_after_the_final_flush(tmp_path, name):
     assert getattr(proc, other) == expected
     if name == "run":
         assert os.listdir(tmp_path / "out") == ["pms.csv"]
+
+
+# ---------------------------------------------------------------------------
+# the process entry: main(), a flush of stdout and stderr, then os._exit without the interpreter's teardown
+
+
+def cli_process(argv):
+    """``python -m quatspin.cli`` with buffered stdout and stderr, each a pipe."""
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "quatspin.cli", *argv], env=env, capture_output=True, text=True)
+
+
+def refuse_hard_exit(code):
+    raise AssertionError(f"os._exit({code}) called in process")
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
+def test_cli_process_prints_all_main_prints_and_exits_with_its_code(tmp_path, monkeypatch, name):
+    argv, _, code = output_case(tmp_path, name)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+    streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "_exit", refuse_hard_exit)
+        assert run_main(argv(tmp_path / "main"), streams["stdout"], streams["stderr"]) == code
+    proc = cli_process(argv(tmp_path / "proc"))
+    assert proc.returncode == code, proc.stderr
+
+    def same(text, out):  # the two runs differ only in their output directory and wall-clock duration
+        return re.sub(r"duration_s: \d+\.\d{3}\n", "duration_s: *\n", text.replace(str(out), "*"))
+
+    for stream in ("stdout", "stderr"):
+        assert same(getattr(proc, stream), tmp_path / "proc") == same(streams[stream].getvalue(), tmp_path / "main")
+    if name == "run":  # the whole report, and the same table
+        assert proc.stdout.splitlines()[0] == "kind: pms" and proc.stdout.endswith("\n")
+        assert proc.stdout.splitlines()[-1].startswith("duration_s: ")
+        assert (tmp_path / "proc" / "pms.csv").read_bytes() == (tmp_path / "main" / "pms.csv").read_bytes()
+    if name == "help":
+        assert proc.stdout.startswith("usage: quatspin") and "list-kinds" in proc.stdout
+
+
+class FlushFails(io.StringIO):
+    """A stream whose every flush raises EPIPE."""
+
+    def flush(self):
+        raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv, code", [(["list-kinds"], 0), (["bogus"], 2), (["--help"], 0), ([], 2)])
+def test_entry_exits_with_mains_code_after_a_flush(monkeypatch, capsys, argv, code):
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["quatspin", *argv])
+    monkeypatch.setattr(os, "_exit", exits.append)
+    cli.entry()
+    assert exits == [code]
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and (captured.out if code == 0 else captured.err)
+
+
+def test_entry_exits_3_when_its_flush_fails(monkeypatch):
+    exits, stderr = [], io.StringIO()
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    with contextlib.redirect_stdout(FlushFails()), contextlib.redirect_stderr(stderr):
+        cli.entry()
+    assert exits == [3]
+    assert stderr.getvalue() == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_script_and_module_run_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        module, attr = tomllib.load(fh)["project"]["scripts"]["quatspin"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.entry
+    guard = ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body[-1]
+    assert ast.unparse(guard) == f"if __name__ == '__main__':\n    {attr}()"
 
 
 # every input ROADMAP item 4 reproduced as a crash (exit 1 with a traceback)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import quatspin
 from quatspin.scenarios import run_scenario
 from quatspin.schema import ConfigError, validate_scenario
-from quatspin.spin import IDENTITY, HelicalParams, StepTooLarge, helical_field, integrate_spin
+from quatspin.spin import IDENTITY, HelicalParams, StepTooLarge, helical_field, integrate_spin, resonance_curve
 
 HELICAL = {"kind": "helical", "gamma": 0.04, "delta": 0.0, "omega": 0.02, "t_max": 10.0, "dt": 0.1}
 RATE_ERROR = "key 'dt': the first step turns the spin by"
@@ -120,16 +121,59 @@ def test_helical_rate_check_never_rejects_a_step_integrate_spin_takes(
     assert refusal(lambda: run_scenario(scn, out_dir=str(tmp_path_factory.mktemp("h")))) is library
 
 
-# ---------------------------------------------------------------------------
-# the command line imports numpy, and dataclasses with the inspect module it pulls in, only to run a valid scenario
+RESONANCE = {"kind": "resonance-curve", "gamma": 0.04, "delta_min": -0.4, "delta_max": 0.4, "n_points": 5,
+             "t_pass": 78.5}
+W_SQ_OVERFLOWS = "gamma^2 + max(|delta_min|, |delta_max|)^2 overflows"
 
-HEAVY_IMPORTS = ("dataclasses", "inspect", "numpy")
+
+@pytest.mark.parametrize("change, error", [
+    # the probabilities were NaN and run named column p_down, not a key
+    ({"delta_max": 1e308}, f"key 'delta_max': {W_SQ_OVERFLOWS}"),
+    ({"gamma": 1e200}, f"key 'gamma': {W_SQ_OVERFLOWS}"),
+    ({"gamma": 1e200, "t_pass": 0.0}, f"key 'gamma': {W_SQ_OVERFLOWS}"),
+    ({"delta_min": -1e200, "delta_max": 1.0}, f"key 'delta_min': {W_SQ_OVERFLOWS}"),
+    ({"gamma": 1e10, "t_pass": 1e300},
+     "key 't_pass': the phase 0.5 * t_pass * sqrt(gamma^2 + max(|delta_min|, |delta_max|)^2) overflows"),
+])
+def test_resonance_probabilities_that_overflow_are_a_schema_error_listed_with_the_others(change, error):
+    assert errors_of({**RESONANCE, **change, "n_points": 1}) == ["key 'n_points': value 1 must be 2..1000000", error]
+
+
+# the schema accepts a resonance-curve document exactly when the library's table of it is finite
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.floats(0.0, 1.0) | st.floats(0.0, 1e155) | st.sampled_from([0.0, 1.3407807929942596e154, 1e200]),
+    delta_min=st.floats(-1.0, 1.0) | st.floats(-2e154, 2e154) | st.sampled_from([-1.3407807929942596e154, -1e200]),
+    delta_max=st.floats(-1.0, 1.0) | st.floats(-2e154, 2e154) | st.sampled_from([1.3407807929942596e154, 1e200]),
+    t_pass=st.floats(0.0, 100.0) | st.floats(0.0, 1.7976931348623157e308),
+)
+def test_resonance_overflow_check_matches_the_library(gamma, delta_min, delta_max, t_pass):
+    assume(0.0 < delta_max - delta_min < math.inf)
+    doc = {**RESONANCE, "gamma": gamma, "delta_min": delta_min, "delta_max": delta_max, "t_pass": t_pass}
+    try:
+        validate_scenario(doc)
+        accepted = True
+    except ConfigError as err:
+        assert len(err.errors) == 1 and err.errors[0].endswith(" overflows")
+        accepted = False
+    assert bool(np.isfinite(resonance_curve(gamma, delta_min, delta_max, 5, t_pass)).all()) is accepted
+
+
+# ---------------------------------------------------------------------------
+# the command line imports numpy, and dataclasses with the inspect module it pulls in, only to run a valid scenario,
+# and a run imports only its kind's part of the library
+
+HEAVY_IMPORTS = ("dataclasses", "inspect", "numpy", "quatspin.emfield", "quatspin.lorentz", "quatspin.spin")
+# the process ends in os._exit, which runs no atexit hook: the probe reads sys.modules as that call is made
 PROBE = f"""\
-import atexit, runpy, sys
-atexit.register(lambda: print("imported:", [m for m in {HEAVY_IMPORTS!r} if m in sys.modules], file=sys.stderr))
+import os, runpy, sys
+hard_exit = os._exit
+def probe_exit(code):
+    print("imported:", [m for m in {HEAVY_IMPORTS!r} if m in sys.modules], file=sys.stderr, flush=True)
+    hard_exit(code)
+os._exit = probe_exit
 runpy.run_module("quatspin.cli", run_name="__main__", alter_sys=True)
 """
-
 
 
 def run_probe(argv):
@@ -174,6 +218,28 @@ def test_cli_run_imports_numpy_after_validating(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "'numpy'" in proc.stderr.splitlines()[-1]
     assert (tmp_path / "out" / "pms.csv").exists()
+
+
+# each kind's run, and the library modules it loads besides quaternion
+RUN_IMPORTS = {
+    "pms": (NUMPY_FREE["validate"][1], ["quatspin.spin"]),
+    "helical": (b"kind = helical\ngamma = 0.04\ndelta = 0.0\nomega = 0.02\nt_max = 1.0\ndt = 0.1\n", ["quatspin.spin"]),
+    "resonance-curve": (b"kind = resonance-curve\ngamma = 0.04\ndelta_min = -0.4\ndelta_max = 0.4\nn_points = 5\n"
+                        b"t_pass = 78.5\n", ["quatspin.spin"]),
+    "em-check": (b"kind = em-check\ncase = plane-wave\n", ["quatspin.emfield"]),
+    "lorentz-check": (b"kind = lorentz-check\nn_cases = 3\n", ["quatspin.emfield", "quatspin.lorentz"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_IMPORTS))
+def test_cli_run_imports_only_its_kinds_modules(tmp_path, kind):
+    text, modules = RUN_IMPORTS[kind]
+    scn = tmp_path / "scn.txt"
+    scn.write_bytes(text)
+    proc = run_probe(["run", str(scn), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"imported: {['dataclasses', 'inspect', 'numpy', *modules]}"
+    assert (tmp_path / "out" / f"{kind}.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatspin.quaternion import (
@@ -238,6 +238,8 @@ spans = st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 30.0), st.floats(0.01, 0.
 
 @settings(max_examples=60, deadline=None)
 @given(field_cases, spans, st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3), st.integers(0, 2**32 - 1))
+# 2300 steps that drift apart by 1.037e-13, more than a fixed 1e-13
+@example(("helical", helical_field(HelicalParams(0.01, 1.0, 1.0))), (0.0, 23.0, 0.01), 0.01, 64)
 def test_integrate_spin_matches_rk4_matmul_reference(case, span, coupling, seed):
     _, field = case
     t0, length, dt = span
@@ -254,7 +256,8 @@ def test_integrate_spin_matches_rk4_matmul_reference(case, span, coupling, seed)
     traj = integrate_spin(field, s0, t_span, dt, coupling=coupling)
     # the time grid is bit-identical, final short step included
     assert traj.times.tobytes() == ref_times.tobytes()
-    assert float(np.max(np.abs(traj.states - ref_states))) < 1e-13
+    # the two evaluation orders round apart a little at every step: 1e-16 per step (1e-13 at 1000 steps)
+    assert float(np.max(np.abs(traj.states - ref_states))) < (len(traj.times) - 1) * 1e-16
 
 
 @settings(max_examples=40, deadline=None)
