@@ -29,12 +29,7 @@ FOUR_PI = 4.0 * math.pi
 
 
 class DegenerateStep(ValueError):
-    """Finite-difference step is zero or negative."""
-
-
-def _check_step(h: float):
-    if not h > 0.0:
-        raise DegenerateStep(f"step h must be positive, got {h!r}")
+    """Finite-difference step is zero, negative or NaN."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,9 @@ class MaxwellResidual:
 
 
 def _stencil(fn, point, h: float) -> list:
-    """fn sampled at point + h and at point - h along each of t, x, y, z: four (plus, minus) pairs."""
+    """fn at point + h and point - h along each of t, x, y, z: four (plus, minus) pairs; DegenerateStep unless h > 0."""
+    if not h > 0.0:
+        raise DegenerateStep(f"step h must be positive, got {h!r}")
     pairs = []
     for axis in range(4):
         plus, minus = list(point), list(point)
@@ -158,7 +155,6 @@ def _curl(jac) -> np.ndarray:
 
 def fields_from_potential(pot: FourPotential, point, h: float, c: float = 1.0) -> EmFieldSample:
     """B = curl A and E = -grad phi - (1/c) dA/dt by central differences."""
-    _check_step(h)
     da = _jacobian(_stencil(pot.a, point, h), h)
     dphi = _jacobian(_stencil(pot.phi, point, h), h)
     return EmFieldSample(e=-dphi[1:] - da[0] / c, b=_curl(da))
@@ -166,7 +162,6 @@ def fields_from_potential(pot: FourPotential, point, h: float, c: float = 1.0) -
 
 def lorenz_gauge_residual(pot: FourPotential, point, h: float, c: float = 1.0) -> float:
     """(1/c) d phi/dt + div A; zero for a potential in Lorenz gauge."""
-    _check_step(h)
     da = _jacobian(_stencil(pot.a, point, h), h)
     dphi = _jacobian(_stencil(pot.phi, point, h), h)
     return float(dphi[0]) / c + _div(da)
@@ -189,7 +184,6 @@ def apply_dirac(mat_fn, point, h: float, c: float = 1.0, transpose: bool = False
     D M = i c^-1 eta_0 (dt M) + eta_x (dx M) + eta_y (dy M) + eta_z (dz M);
     the transpose flips the sign of the three spatial basis matrices.
     """
-    _check_step(h)
     sign = -1.0 if transpose else 1.0
     dm = _jacobian(_stencil(mat_fn, point, h), h)
     out = (1j / c) * ETA_0 @ dm[0]
@@ -226,7 +220,6 @@ def maxwell_residual(field_fn, source_fn, point, h: float, c: float = 1.0) -> Ma
     eta components of D F - (4 pi / c) J.  All four are read off one
     Jacobian of (E, B): field_fn is called once at each of the 8 stencil points.
     """
-    _check_step(h)
     pairs = _stencil(field_fn, point, h)
     de = _jacobian([(plus.e, minus.e) for plus, minus in pairs], h)
     db = _jacobian([(plus.b, minus.b) for plus, minus in pairs], h)
@@ -247,16 +240,15 @@ def wave_residual(field_fn, point, h: float, c: float = 1.0) -> np.ndarray:
     times: at the point and at +-2h along every axis.  Zero for any vacuum
     solution of the Maxwell equations.
     """
-    _check_step(h)
+    pairs = _stencil(field_fn, point, 2.0 * h)  # first: a bad step raises before field_fn is called
     f0 = em_tensor(field_fn(*point)).f
     dtt, dxx, dyy, dzz = [(em_tensor(plus).f - 2.0 * f0 + em_tensor(minus).f) / (4.0 * h * h)
-                          for plus, minus in _stencil(field_fn, point, 2.0 * h)]
+                          for plus, minus in pairs]
     return -dtt / (c * c) + dxx + dyy + dzz
 
 
 def continuity_residual(source_fn, point, h: float) -> float:
     """d rho/dt + div j by central differences; the trace form of D^T J / 4."""
-    _check_step(h)
     pairs = _stencil(source_fn, point, h)
     drho = _jacobian([(plus.rho, minus.rho) for plus, minus in pairs], h)
     dj = _jacobian([(plus.j, minus.j) for plus, minus in pairs], h)

@@ -132,8 +132,8 @@ def boost_from_velocity(v, c: float = 1.0) -> LorentzQuat:
     speed = float(np.linalg.norm(v))
     if speed >= c:
         raise SuperluminalSpeed(f"|v| = {speed!r} must be below c = {c!r}")
-    if speed == 0.0:
-        return LorentzQuat(nu0=1.0, nu=np.zeros(3), kind=KIND_BOOST)
+    if speed == 0.0:  # rapidity 0 along any axis: nu0 = 1.0 and nu = +0.0
+        return boost_generator((0.0, 0.0, 1.0), 0.0)
     return boost_generator(v / speed, math.atanh(speed / c))
 
 

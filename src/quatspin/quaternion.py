@@ -33,6 +33,27 @@ class NonUnitQuaternion(ValueError):
     """Quaternion is not unit norm within tolerance."""
 
 
+def _unit_vector(v, error: type[ValueError], name: str) -> tuple[np.ndarray, float]:
+    """(v, |v|) for a 3-vector within UNIT_TOL_INPUT of unit length; raises error otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise error(f"{name} must be a 3-vector, got shape {v.shape}")
+    n = float(np.linalg.norm(v))
+    if not abs(n - 1.0) <= UNIT_TOL_INPUT:
+        raise error(f"|{name}| = {n!r} is not 1 within {UNIT_TOL_INPUT}")
+    return v, n
+
+
+def _unit_norm_sq(q) -> np.ndarray:
+    """|q|^2 per row of a (..., 4) array; raises NonUnitQuaternion if any is not 1 within UNIT_TOL_INPUT."""
+    q0, qx, qy, qz = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    nsq = q0 * q0 + qx * qx + qy * qy + qz * qz
+    bad = ~(np.abs(nsq - 1.0) <= UNIT_TOL_INPUT)
+    if np.any(bad):
+        raise NonUnitQuaternion(f"not unit norm: |q|^2 = {float(nsq[bad].flat[0])!r} is not 1 within {UNIT_TOL_INPUT}")
+    return nsq
+
+
 def _const(rows) -> np.ndarray:
     m = np.array(rows, dtype=float)
     m.flags.writeable = False
@@ -86,9 +107,6 @@ class Quaternion:
         if n == 0.0:
             raise NonUnitQuaternion("cannot normalize the zero quaternion")
         return Quaternion(self.s0 / n, self.sx / n, self.sy / n, self.sz / n)
-
-    def is_unit(self, tol: float = UNIT_TOL_INPUT) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.s0, -self.sx, -self.sy, -self.sz)
@@ -181,12 +199,7 @@ def from_axis_angle(axis, xi: float) -> Quaternion:
 
     Raises NonUnitAxis if |axis| deviates from 1 by more than 1e-9.
     """
-    b = np.asarray(axis, dtype=float)
-    if b.shape != (3,):
-        raise NonUnitAxis(f"axis must be a 3-vector, got shape {b.shape}")
-    n = float(np.linalg.norm(b))
-    if not abs(n - 1.0) <= UNIT_TOL_INPUT:
-        raise NonUnitAxis(f"|axis| = {n!r} is not 1 within {UNIT_TOL_INPUT}")
+    b, n = _unit_vector(axis, NonUnitAxis, "axis")
     b = b / n
     half = 0.5 * xi
     s = math.sin(half)
@@ -219,11 +232,7 @@ def rotate_batch(q, p) -> np.ndarray:
     Raises NonUnitQuaternion if any |q|^2 deviates from 1 by more than 1e-9.
     """
     q = np.asarray(q, dtype=float)
-    q0, qx, qy, qz = np.moveaxis(q, -1, 0)
-    nsq = q0 * q0 + qx * qx + qy * qy + qz * qz
-    bad = ~(np.abs(nsq - 1.0) <= UNIT_TOL_INPUT)
-    if np.any(bad):
-        raise NonUnitQuaternion(f"|q|^2 = {float(nsq[bad].flat[0])!r} is not 1 within {UNIT_TOL_INPUT}")
+    nsq = _unit_norm_sq(q)
     u0, ux, uy, uz = np.moveaxis(q / np.sqrt(nsq)[..., None], -1, 0)
     xx, yy, zz = ux * ux, uy * uy, uz * uz
     xy, yz, zx = ux * uy, uy * uz, uz * ux

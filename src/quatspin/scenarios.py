@@ -246,8 +246,8 @@ def write_table(path: str, columns, rows, fmt: str):
         doc = json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":"),
                          allow_nan=False)
         lines = [doc + "\n"]
-    # a temporary file renamed onto path: path holds the whole table or what it held before
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    # a fixed-length temporary name renamed onto path: path holds the whole table or what it held before
+    tmp = os.path.join(os.path.dirname(path), f".quatspin-{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:

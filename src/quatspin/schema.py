@@ -73,10 +73,10 @@ _Field = namedtuple("_Field", "name kind required default check expect", default
 
 _COMMON = (
     _Field("seed", int, required=False, default=0, check=lambda v: v >= 0, expect=">= 0"),
-    # a directory part could put the table outside the output directory; empty selects the default name
+    # a directory part could put the table outside the output directory, a NUL fails open(); "" is the default
     _Field("output", str, required=False, default=None,
-           check=lambda v: v == "" or (v not in (".", "..") and "/" not in v and "\\" not in v),
-           expect="a bare file name (no directory part, not '.' or '..')"),
+           check=lambda v: v == "" or (v not in (".", "..") and not {"/", "\\", "\0"} & set(v)),
+           expect="a bare file name (no directory part or NUL, not '.' or '..')"),
     _Field("format", str, required=False, default="csv", check=lambda v: v in FORMATS,
            expect="one of " + ", ".join(FORMATS)),
 )
@@ -213,5 +213,5 @@ def validate_scenario(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
         return validate_scenario(parse_scenario_text(fh.read()))

@@ -21,10 +21,10 @@ import numpy as np
 
 from .quaternion import (
     IDENTITY,
-    UNIT_TOL_INPUT,
-    NonUnitQuaternion,
     Quaternion,
     _mul4,
+    _unit_norm_sq,
+    _unit_vector,
     quat_mul_batch,
     quat_to_rotation,
     rotate_batch,
@@ -60,16 +60,6 @@ class ZeroField(ValueError):
 
 class EmptyRange(ValueError):
     """Sweep grid has fewer than two points."""
-
-
-def _unit_polarization(p0) -> np.ndarray:
-    p = np.asarray(p0, dtype=float)
-    if p.shape != (3,):
-        raise NonUnitPolarization(f"polarization must be a 3-vector, got shape {p.shape}")
-    n = float(np.linalg.norm(p))
-    if not abs(n - 1.0) <= UNIT_TOL_INPUT:
-        raise NonUnitPolarization(f"|P| = {n!r} is not 1 within {UNIT_TOL_INPUT}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -162,9 +152,7 @@ class SpinTrajectory:
             raise ValueError("times must be (n,), states (n, 4)")
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        norms = np.einsum("ij,ij->i", states, states)
-        if norms.size and not np.max(np.abs(norms - 1.0)) <= UNIT_TOL_INPUT:
-            raise ValueError("every state must be unit norm within 1e-9")
+        _unit_norm_sq(states)
         for name, tail in (("polar", (2, 3)), ("mid_states", (4,))):
             value = getattr(self, name)
             if value is not None:
@@ -181,7 +169,7 @@ class SpinTrajectory:
 
     def polarization(self, p0) -> np.ndarray:
         """Rotate p0 by every stored state; returns an (n, 3) array."""
-        return rotate_batch(self.states, _unit_polarization(p0))
+        return rotate_batch(self.states, _unit_vector(p0, NonUnitPolarization, "polarization")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +201,7 @@ def pms_propagate(cfg: PmsConfig, p0) -> SpinTrajectory:
     quaternion is composed per block as u2 (x) u1 (x) q, which realizes the
     same chain through the rotation homomorphism; mid_states holds u1 (x) q.
     """
-    p = _unit_polarization(p0)
+    p, _ = _unit_vector(p0, NonUnitPolarization, "polarization")
     u1, u2 = (g.as_array().tolist() for g in pms_block_generators(cfg, 0))
     q, chain = IDENTITY.as_array().tolist(), np.empty((cfg.n_blocks + 1, 2, 4))
     for n in range(cfg.n_blocks + 1):
@@ -290,8 +278,7 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
     ratio = (t1 - t0) / dt - 1e-12
     if not ratio <= MAX_STEPS:
         raise InvalidTimeSpan(f"span ({t0}, {t1}) with dt {dt} needs more than MAX_STEPS = {MAX_STEPS} steps")
-    if not s0.is_unit(UNIT_TOL_INPUT):
-        raise NonUnitQuaternion(f"initial state norm^2 = {s0.norm_sq()!r} is not 1 within {UNIT_TOL_INPUT}")
+    _unit_norm_sq(s0.as_array())
 
     n_steps = max(1, math.ceil(ratio))
     times = np.concatenate([[t0], t0 + np.arange(1, n_steps) * dt, [t1]])
@@ -396,7 +383,7 @@ def polarization_evolution(params: HelicalParams, sign: int, p0, t: float) -> np
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    p = _unit_polarization(p0)
+    p, _ = _unit_vector(p0, NonUnitPolarization, "polarization")
     q = analytic_helical(params, t)
     if sign < 0:
         q = q.conjugate()

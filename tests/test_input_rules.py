@@ -1,0 +1,183 @@
+"""Each library input rule, pinned at every entry point that applies it, and the one place that codes it.
+
+- A 3-vector (rotation axis, polarization) is accepted when |v| is within UNIT_TOL_INPUT of 1.
+- A quaternion (spin state) is accepted when |q|^2 is within UNIT_TOL_INPUT of 1.
+- A finite-difference step h is accepted when h > 0.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import quatspin
+from quatspin.emfield import (
+    DegenerateStep,
+    FourPotential,
+    apply_dirac,
+    continuity_residual,
+    fields_from_potential,
+    lorenz_gauge_residual,
+    maxwell_residual,
+    wave_residual,
+)
+from quatspin.lorentz import KIND_BOOST, boost_from_velocity
+from quatspin.quaternion import (
+    UNIT_TOL_INPUT,
+    NonUnitAxis,
+    NonUnitQuaternion,
+    Quaternion,
+    from_axis_angle,
+    quat_to_rotation,
+    rotate_batch,
+)
+from quatspin.spin import (
+    HelicalParams,
+    NonUnitPolarization,
+    PmsConfig,
+    SpinTrajectory,
+    integrate_spin,
+    pms_propagate,
+    polarization_evolution,
+)
+
+SRC = Path(quatspin.__file__).parent
+
+
+def edge_pair(kernel, start: float, toward: float) -> tuple[float, float]:
+    """Adjacent doubles (inside, outside) where |kernel(s) - 1| crosses UNIT_TOL_INPUT, walking from start."""
+    s = start
+    while abs(kernel(s) - 1.0) <= UNIT_TOL_INPUT:
+        s = math.nextafter(s, toward)
+    while abs(kernel(s) - 1.0) > UNIT_TOL_INPUT:
+        s = math.nextafter(s, 1.0)
+    return s, math.nextafter(s, toward)
+
+
+# the entries' kernels: |(0, 0, z)| is |z| exactly, and |(s, 0, 0, 0)|^2 is the one product s * s
+VECTOR_EDGES = {side: edge_pair(lambda z: float(np.linalg.norm([0.0, 0.0, z])), 1.0 + side * UNIT_TOL_INPUT,
+                                 1.0 + side) for side in (1, -1)}
+QUATERNION_EDGES = {side: edge_pair(lambda s: s * s, math.sqrt(1.0 + side * UNIT_TOL_INPUT), 1.0 + side)
+                    for side in (1, -1)}
+
+PMS = PmsConfig(n_blocks=3, xi1=0.3, xi2=0.01, theta=0.15)
+HELICAL = HelicalParams(gamma_width=0.04, delta_detune=0.01, omega_drive=0.02)
+
+VECTOR_ENTRIES = {
+    "from_axis_angle": (NonUnitAxis, lambda v: from_axis_angle(v, 0.3)),
+    "pms_propagate": (NonUnitPolarization, lambda v: pms_propagate(PMS, v)),
+    "SpinTrajectory.polarization": (NonUnitPolarization, lambda v: pms_propagate(PMS, [0.0, 0.0, 1.0]).polarization(v)),
+    "polarization_evolution": (NonUnitPolarization, lambda v: polarization_evolution(HELICAL, 1, v, 0.7)),
+}
+
+QUATERNION_ENTRIES = {
+    "rotate_batch": lambda q: rotate_batch([[1.0, 0.0, 0.0, 0.0], q], [0.0, 0.0, 1.0]),
+    "quat_to_rotation": lambda q: quat_to_rotation(Quaternion.from_array(q)),
+    "integrate_spin": lambda q: integrate_spin(lambda t: [0.0, 0.0, 1.0], Quaternion.from_array(q), (0.0, 0.1), 0.05),
+    "SpinTrajectory": lambda q: SpinTrajectory(times=[0.0, 1.0], states=[[1.0, 0.0, 0.0, 0.0], q]),
+}
+
+
+def test_edges_are_adjacent_doubles_on_either_side_of_the_tolerance():
+    for edges, kernel in ((VECTOR_EDGES, abs), (QUATERNION_EDGES, lambda s: s * s)):
+        for side, (inside, outside) in edges.items():
+            assert math.nextafter(inside, 1.0 + side) == outside
+            # strictly inside: |n - 1| is a multiple of 2^-53 and 1e-9 an odd multiple of 2^-82, so they never
+            # meet, and a check written with < accepts exactly what <= accepts
+            assert abs(kernel(inside) - 1.0) < UNIT_TOL_INPUT < abs(kernel(outside) - 1.0)
+    for z in (*VECTOR_EDGES[1], *VECTOR_EDGES[-1]):
+        assert float(np.linalg.norm([0.0, 0.0, z])) == z
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("name", sorted(VECTOR_ENTRIES))
+def test_each_vector_entry_accepts_just_inside_and_refuses_just_outside(name, side):
+    error, call = VECTOR_ENTRIES[name]
+    inside, outside = VECTOR_EDGES[side]
+    call([0.0, 0.0, inside])
+    with pytest.raises(error, match=r"\| = .* is not 1 within 1e-09") as caught:
+        call([0.0, 0.0, outside])
+    assert repr(outside) in str(caught.value)
+    with pytest.raises(error, match="must be a 3-vector, got shape \\(1, 3\\)"):  # a batch is not a vector
+        call([[0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("name", sorted(QUATERNION_ENTRIES))
+def test_each_quaternion_entry_accepts_just_inside_and_refuses_just_outside(name, side):
+    call = QUATERNION_ENTRIES[name]
+    inside, outside = QUATERNION_EDGES[side]
+    call([inside, 0.0, 0.0, 0.0])
+    with pytest.raises(NonUnitQuaternion, match="unit norm") as caught:
+        call([outside, 0.0, 0.0, 0.0])
+    assert repr(outside * outside) in str(caught.value)
+    with pytest.raises(NonUnitQuaternion, match="2.0"):
+        call([1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(NonUnitQuaternion):
+        call([math.nan, 0.0, 0.0, 0.0])
+
+
+def not_called(*args):
+    raise AssertionError(f"called at {args} with a degenerate step")
+
+
+STEP_ENTRIES = {
+    "fields_from_potential": lambda h: fields_from_potential(FourPotential(not_called, not_called), (0, 1, 1, 1), h),
+    "lorenz_gauge_residual": lambda h: lorenz_gauge_residual(FourPotential(not_called, not_called), (0, 1, 1, 1), h),
+    "apply_dirac": lambda h: apply_dirac(not_called, (0, 1, 1, 1), h),
+    "maxwell_residual": lambda h: maxwell_residual(not_called, not_called, (0, 1, 1, 1), h),
+    "wave_residual": lambda h: wave_residual(not_called, (0, 1, 1, 1), h),
+    "continuity_residual": lambda h: continuity_residual(not_called, (0, 1, 1, 1), h),
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, -1e-3, math.nan])
+@pytest.mark.parametrize("name", sorted(STEP_ENTRIES))
+def test_each_differencing_function_refuses_a_degenerate_step_before_calling_back(name, h):
+    with pytest.raises(DegenerateStep, match="step h must be positive"):
+        STEP_ENTRIES[name](h)
+
+
+def test_boost_at_rest_has_the_bits_of_the_identity_boost():
+    rest = boost_from_velocity([0.0, 0.0, 0.0])
+    assert rest.kind == KIND_BOOST and type(rest.nu0) is float and rest.nu0 == 1.0
+    assert rest.nu.dtype == np.float64 and rest.nu.tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
+
+
+# ---------------------------------------------------------------------------
+# each rule is coded once
+
+
+def functions_where(predicate) -> set:
+    """(module, function) for every top-level function or method in src/ with a node that predicate accepts."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in defs:
+                if isinstance(node, ast.FunctionDef) and any(map(predicate, ast.walk(node))):
+                    found.add((path.stem, node.name))
+    return found
+
+
+def named(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def test_unit_tolerance_is_compared_in_the_three_unit_checks_only():
+    compared = functions_where(lambda n: isinstance(n, ast.Compare)
+                               and any(named(x, "UNIT_TOL_INPUT") for x in [n.left, *n.comparators]))
+    assert compared == {("quaternion", "_unit_vector"), ("quaternion", "_unit_norm_sq"), ("lorentz", "_unit_axes")}
+
+
+def test_degenerate_step_is_raised_by_the_stencil_only():
+    raising = functions_where(lambda n: isinstance(n, ast.Raise) and n.exc is not None
+                              and any(named(x, "DegenerateStep") for x in ast.walk(n.exc)))
+    assert raising == {("emfield", "_stencil")}
+
+
+def test_every_lorentz_quat_is_built_by_a_generator():
+    building = functions_where(lambda n: isinstance(n, ast.Call) and named(n.func, "LorentzQuat"))
+    assert building == {("lorentz", "rotation_generator"), ("lorentz", "boost_generator")}

@@ -88,7 +88,7 @@ def test_validate_unknown_kind_lists_allowed():
         assert kind in joined
 
 
-@pytest.mark.parametrize("name", ["../x.csv", "/tmp/x.csv", "sub/x.csv", "..", ".", "a\\b.csv"])
+@pytest.mark.parametrize("name", ["../x.csv", "/tmp/x.csv", "sub/x.csv", "..", ".", "a\\b.csv", "a\0b.csv"])
 def test_validate_output_must_be_a_bare_file_name(name):
     with pytest.raises(ConfigError) as err:
         validate_scenario({"kind": "pms", "xi1": 0.3, "output": name, "bogus": 1})
@@ -633,6 +633,52 @@ def test_cli_module_entry_point(tmp_path):
     assert "allowed kinds" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_nul_in_output_is_a_config_error_listed_with_the_others(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, RESONANT_PMS + "output = t\0.csv\nbogus = 1\n")
+    assert main([command, path] + (["--out", str(tmp_path / "out")] if command == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown key 'bogus'\nerror: key 'output': value 't\\x00.csv' must be a bare "
+                            "file name (no directory part or NUL, not '.' or '..')\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("length, code", [(255, 0), (256, 3)])
+def test_cli_output_name_length_is_the_file_systems_limit(tmp_path, capsys, length, code):
+    name = "t" * (length - 4) + ".csv"
+    assert main(["run", write_scenario(tmp_path, RESONANT_PMS, name="ref.scn"), "--out", str(tmp_path / "ref")]) == 0
+    path = write_scenario(tmp_path, RESONANT_PMS + f"output = {name}\n")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    if code == 0:  # the table lands under its name, and the temporary file is gone
+        assert os.listdir(tmp_path / "out") == [name]
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / "pms.csv").read_bytes()
+        assert f"wrote: {tmp_path / 'out' / name}" in captured.out
+    else:
+        assert captured.err.startswith("error: ") and "File name too long" in captured.err
+        assert os.listdir(tmp_path / "out") == []
+
+
+def test_cli_reads_a_scenario_saved_with_a_byte_order_mark(tmp_path, capsys):
+    plain = tmp_path / "plain.scn"
+    plain.write_text(RESONANT_PMS, encoding="utf-8")
+    bom = tmp_path / "bom.scn"
+    bom.write_text(RESONANT_PMS, encoding="utf-8-sig")
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_scenario(str(bom)) == load_scenario(str(plain))
+    for name in ("plain", "bom"):
+        assert main(["run", str(tmp_path / f"{name}.scn"), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bom" / "pms.csv").read_bytes() == (tmp_path / "plain" / "pms.csv").read_bytes()
+    utf16 = tmp_path / "utf16.scn"  # still not UTF-8, BOM or not
+    utf16.write_text(RESONANT_PMS, encoding="utf-16")
+    capsys.readouterr()
+    assert main(["validate", str(utf16)]) == 2
+    assert capsys.readouterr().err.startswith("error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff")
+
+
 UNWRITABLE_OUT = {
     "out-is-a-file": (lambda out: out.write_text(""), "[Errno 17] File exists"),
     "table-is-a-directory": (lambda out: (out / "pms.csv").mkdir(parents=True), "[Errno 21] Is a directory"),
@@ -946,7 +992,8 @@ FUZZ_COMMON = {"seed": "0", "output": "t.csv", "format": "csv"}
 FUZZ_EXTREMES = ("1e308", "-1e308", "1e300", "-1e300", "1e-300", "5e-324", "-5e-324", "nan", "inf", "-inf", "0", "-0.0",
                  "1", "-1", "2", "5", "6", "12", "13", "50", "51", "1e-4", "0.25", "499999", "500000", "1000000",
                  "1000001", "250000", "250001")
-FUZZ_WORDS = ("plane-wave", "point-charge", "constant", "csv", "json", "true", "t.json", "..", "../t.csv", "", "a b")
+FUZZ_WORDS = ("plane-wave", "point-charge", "constant", "csv", "json", "true", "t.json", "..", "../t.csv", "", "a b",
+              "t\0.csv")
 fuzz_garbage = (st.sampled_from(FUZZ_WORDS) | st.floats(-3.0, 3.0).map(repr) | st.integers(-2, 30).map(str)
                 | st.text(st.characters(exclude_characters="\r\n#"), max_size=6))
 
