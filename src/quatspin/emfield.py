@@ -119,9 +119,9 @@ class MaxwellResidual:
 
 
 def _stencil(fn, point, h: float) -> list:
-    """fn at point + h and point - h along each of t, x, y, z: four (plus, minus) pairs; DegenerateStep unless h > 0."""
-    if not h > 0.0:
-        raise DegenerateStep(f"step h must be positive, got {h!r}")
+    """fn at point + h and point - h along each of t, x, y, z: four (plus, minus) pairs; needs 0 < h < inf."""
+    if not 0.0 < h < math.inf:  # an infinite step would difference a constant field to an exact 0
+        raise DegenerateStep(f"step h must be positive and finite, got {h!r}")
     pairs = []
     for axis in range(4):
         plus, minus = list(point), list(point)

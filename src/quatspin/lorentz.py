@@ -127,7 +127,9 @@ def boost_generator(m, rapidity: float) -> LorentzQuat:
 
 
 def boost_from_velocity(v, c: float = 1.0) -> LorentzQuat:
-    """Boost for velocity 3-vector v, |v| < c; rapidity = artanh(|v|/c)."""
+    """Boost for velocity 3-vector v, |v| < c; rapidity = artanh(|v|/c).  c must be positive and finite."""
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     v = np.asarray(v, dtype=float)
     speed = float(np.linalg.norm(v))
     if speed >= c:

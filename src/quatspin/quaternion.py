@@ -11,7 +11,7 @@ Hamilton-convention formulas from elsewhere will silently flip signs.
 
 A quaternion is stored as its coefficient 4-tuple (s0, sx, sy, sz); the
 matrix realizations are derived views, never the source of truth.  Hot
-paths use the (..., 4) array kernels quat_mul_batch and rotate_batch.
+paths apply _mul4 to component arrays and rotate_batch to (..., 4) rows.
 """
 
 from __future__ import annotations
@@ -146,19 +146,15 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     return Quaternion(*_mul4((a.s0, a.sx, a.sy, a.sz), (b.s0, b.sx, b.sy, b.sz)))
 
 
-def quat_mul_batch(a, b) -> np.ndarray:
-    """Row-wise a (x) b of broadcastable (..., 4) arrays; each row equals quat_mul bit for bit."""
-    a, b = (np.moveaxis(np.asarray(x, dtype=float), -1, 0) for x in (a, b))
-    return np.stack(_mul4(a, b), axis=-1)
-
-
 def to_eta(q: Quaternion) -> np.ndarray:
     """4x4 real realization s0*eta_0 + sx*eta_x + sy*eta_y + sz*eta_z.
 
     Ring homomorphism: to_eta(a (x) b) = to_eta(a) @ to_eta(b).  The first
     column of the result is the coefficient vector itself.
     """
-    return q.s0 * ETA_0 + q.sx * ETA_X + q.sy * ETA_Y + q.sz * ETA_Z
+    # the four eta matrices have disjoint supports, so each entry is one signed component
+    s0, sx, sy, sz = q.s0, q.sx, q.sy, q.sz
+    return np.array([[s0, -sx, -sy, -sz], [sx, s0, sz, -sy], [sy, -sz, s0, sx], [sz, sy, -sx, s0]], dtype=float)
 
 
 def from_eta(m) -> Quaternion:

@@ -68,8 +68,9 @@ def _run_helical(scn: Scenario):
     # sign -1 reads the polarization from the conjugate states (the reversed rotation)
     readout = traj.states if p["sign"] > 0 else traj.states * np.array([1.0, -1.0, -1.0, -1.0])
     pvec = rotate_batch(readout, np.array([0.0, 0.0, 1.0]))
-    # the *_mid cells are the px, py, pz objects themselves, so write_table encodes them once
-    rows = [[i, *row, *row[5:]] for i, row in enumerate(np.column_stack([traj.times, traj.states, pvec]).tolist())]
+    cols = np.column_stack([traj.times, traj.states, pvec]).T.tolist()
+    # *_mid cells are the px, py, pz objects (encoded once); lists, as freed 12-tuples stay on the tuple free list
+    rows = list(map(list, zip(range(len(traj)), *cols, *cols[5:])))
     drift = float(np.max(np.abs(np.einsum("ij,ij->i", traj.states, traj.states) - 1.0)))
     return _TRAJ_COLUMNS, rows, {"final_pz": rows[-1][8], "max_norm_drift": drift}
 
@@ -240,11 +241,12 @@ def write_table(path: str, columns, rows, fmt: str):
                 encoded.append(map(encode, col))
         lines = (",".join(cells) + "\n" for cells in itertools.chain([columns], zip(*encoded)))
     else:
-        # a column of exact floats, ints and strings is already what _jsonable returns
-        encoded = [col if kind <= {float, int, str} else map(_jsonable, col) for col, kind in zip(cols, kinds)]
+        # json writes a tuple as a list, and a cell of exact float, int or str type as _jsonable returns it
+        as_given = isinstance(rows, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in rows)
+        if not (as_given and set().union(*kinds) <= {float, int, str}):
+            rows = list(zip(*(map(_jsonable, col) for col in cols)))
         # RFC 8259 has no NaN or Infinity; _refuse_non_finite has named the column, allow_nan=False stays as a guard
-        doc = json.dumps({"columns": list(columns), "rows": list(zip(*encoded))}, separators=(",", ":"),
-                         allow_nan=False)
+        doc = json.dumps({"columns": list(columns), "rows": rows}, separators=(",", ":"), allow_nan=False)
         lines = [doc + "\n"]
     # a fixed-length temporary name renamed onto path: path holds the whole table or what it held before
     tmp = os.path.join(os.path.dirname(path), f".quatspin-{os.urandom(8).hex()}.tmp")

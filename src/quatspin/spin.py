@@ -25,7 +25,6 @@ from .quaternion import (
     _mul4,
     _unit_norm_sq,
     _unit_vector,
-    quat_mul_batch,
     quat_to_rotation,
     rotate_batch,
 )
@@ -236,12 +235,15 @@ def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: flo
             i = int(np.argmax(too_large))
             raise StepTooLarge(f"dt * |coupling * B| = {float(step_angle[i])!r} exceeds 0.5 rad "
                                f"at t = {float(starts[i])!r}")
-        a1, a2, a3 = np.moveaxis(np.pad(-0.5 * coupling * fields, ((0, 0), (0, 0), (1, 0))), 1, 0)
-        a21, a22, a32 = quat_mul_batch(a2, a1), quat_mul_batch(a2, a2), quat_mul_batch(a3, a2)
-        a221 = quat_mul_batch(a22, a1)
-        hc = h[:, None]
-        m = (hc / 6.0) * (a1 + 4.0 * a2 + a3) + (hc * hc / 6.0) * (a21 + a22 + a32) \
-            + (hc**3 / 12.0) * (a221 + quat_mul_batch(a3, a22)) + (hc**4 / 24.0) * quat_mul_batch(a3, a221)
+        # component tuples (0, bx, by, bz) of the a_k, one array per component, multiplied by _mul4 itself
+        b = (-0.5 * coupling * fields).reshape(-1, 9).T.copy()
+        a1, a2, a3 = ((0.0, *b[k : k + 3]) for k in (0, 3, 6))
+        a21, a22, a32 = _mul4(a2, a1), _mul4(a2, a2), _mul4(a3, a2)
+        a221 = _mul4(a22, a1)
+        h1, h2, h3, h4 = h / 6.0, h * h / 6.0, h**3 / 12.0, h**4 / 24.0
+        m = np.stack([h1 * (p1 + 4.0 * p2 + p3) + h2 * (p21 + p22 + p32) + h3 * (p221 + p322) + h4 * p3221
+                      for p1, p2, p3, p21, p22, p32, p221, p322, p3221
+                      in zip(a1, a2, a3, a21, a22, a32, a221, _mul4(a3, a22), _mul4(a3, a221))], axis=1)
     overflow = ~np.isfinite(m).all(axis=1)
     if overflow.any():
         i = int(np.argmax(overflow))
@@ -287,11 +289,13 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
     states = np.empty((n_steps + 1, 4))
     states[0] = s = s0.normalized().as_array().tolist()
     for lo in range(0, n_steps, _BLOCK):
-        m = _step_quaternions(field_fn, starts[lo : lo + _BLOCK], h[lo : lo + _BLOCK], coupling)
-        for k, mk in enumerate(m.tolist(), start=lo + 1):
+        block = _step_quaternions(field_fn, starts[lo : lo + _BLOCK], h[lo : lo + _BLOCK], coupling).tolist()
+        for k, mk in enumerate(block):  # each step quaternion is replaced by the state it makes
             w, x, y, z = _mul4(mk, s)
             norm = math.sqrt(w * w + x * x + y * y + z * z)
-            states[k] = s = (w / norm, x / norm, y / norm, z / norm)
+            block[k] = s = (w / norm, x / norm, y / norm, z / norm)
+        states[lo + 1 : lo + 1 + len(block)] = block
+        del block  # frees these states before the next block of step quaternions is built
     return SpinTrajectory(times=times, states=states)
 
 

@@ -2,7 +2,8 @@
 
 - A 3-vector (rotation axis, polarization) is accepted when |v| is within UNIT_TOL_INPUT of 1.
 - A quaternion (spin state) is accepted when |q|^2 is within UNIT_TOL_INPUT of 1.
-- A finite-difference step h is accepted when h > 0.
+- A finite-difference step h is accepted when 0 < h < inf.
+- A speed of light c is accepted when 0 < c < inf.
 """
 
 import ast
@@ -133,7 +134,7 @@ STEP_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("h", [0.0, -0.0, -1e-3, math.nan])
+@pytest.mark.parametrize("h", [0.0, -0.0, -1e-3, math.nan, math.inf])
 @pytest.mark.parametrize("name", sorted(STEP_ENTRIES))
 def test_each_differencing_function_refuses_a_degenerate_step_before_calling_back(name, h):
     with pytest.raises(DegenerateStep, match="step h must be positive"):
@@ -144,6 +145,14 @@ def test_boost_at_rest_has_the_bits_of_the_identity_boost():
     rest = boost_from_velocity([0.0, 0.0, 0.0])
     assert rest.kind == KIND_BOOST and type(rest.nu0) is float and rest.nu0 == 1.0
     assert rest.nu.dtype == np.float64 and rest.nu.tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+@pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)])
+def test_boost_from_velocity_refuses_a_speed_of_light_that_is_not_positive_and_finite(v, c):
+    with pytest.raises(ValueError, match="^c must be positive and finite") as caught:
+        boost_from_velocity(v, c)
+    assert type(caught.value) is ValueError  # refused as c, before the speed is compared with it
 
 
 # ---------------------------------------------------------------------------

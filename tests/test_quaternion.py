@@ -22,7 +22,6 @@ from quatspin.quaternion import (
     from_eta,
     precession_angle,
     quat_mul,
-    quat_mul_batch,
     quat_to_rotation,
     rotate_batch,
     to_eta,
@@ -90,6 +89,16 @@ def test_to_eta_basics():
     q = random_quat(rng)
     assert np.allclose(to_eta(q)[:, 0], q.as_array(), rtol=0, atol=0)
     assert from_eta(to_eta(q)) == q
+
+
+def test_to_eta_is_the_weighted_sum_of_the_eta_basis():
+    for k, q in enumerate([IDENTITY, Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)]):
+        assert np.array_equal(to_eta(q), (ETA_0, ETA_X, ETA_Y, ETA_Z)[k])
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        q = random_quat(rng)
+        weighted = q.s0 * ETA_0 + q.sx * ETA_X + q.sy * ETA_Y + q.sz * ETA_Z
+        assert to_eta(q).dtype == np.float64 and np.array_equal(to_eta(q), weighted)
 
 
 def test_to_eta_ring_homomorphism():
@@ -234,7 +243,7 @@ def test_quat_to_rotation_double_cover_and_homomorphism():
 
 
 # ---------------------------------------------------------------------------
-# batched (..., 4) kernels against the scalar API
+# the batched (..., 4) readout kernel against the scalar API
 
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -244,18 +253,6 @@ def unit_rows(n):
     return arrays(float, (n, 4), elements=finite).filter(lambda q: np.all(np.linalg.norm(q, axis=1) > 1e-3)).map(
         lambda q: q / np.linalg.norm(q, axis=1, keepdims=True)
     )
-
-
-@settings(max_examples=200, deadline=None)
-@given(arrays(float, (7, 4), elements=finite), arrays(float, (7, 4), elements=finite))
-def test_quat_mul_batch_equals_quat_mul_row_by_row(a, b):
-    got = quat_mul_batch(a, b)
-    assert got.shape == (7, 4)
-    for i in range(7):
-        want = quat_mul(Quaternion.from_array(a[i]), Quaternion.from_array(b[i])).as_array()
-        assert np.array_equal(got[i], want)
-    # broadcasting: one left factor against every row
-    assert np.array_equal(quat_mul_batch(a[0], b), np.stack([quat_mul_batch(a[0], row) for row in b]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -269,6 +269,15 @@ def test_run_helical(tmp_path):
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
+def test_run_helical_mid_cells_are_the_polarization_cells():
+    scn = validate_scenario({"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.0, "t_max": 5.0, "dt": 0.05})
+    columns, rows, _ = scenarios._run_helical(scn)
+    pairs = [(columns.index(name), columns.index(f"{name}_mid")) for name in ("px", "py", "pz")]
+    assert len(rows) == 101
+    # the same objects, so that write_table encodes each of them once
+    assert all(row[j] is row[k] for row in rows for j, k in pairs)
+
+
 def test_lorentz_check_accepts_large_rapidities(tmp_path):
     # an absolute 1e-12 boost constraint rejected this scenario
     path = write_scenario(tmp_path, "kind = lorentz-check\nrapidity_max = 9\nseed = 1\nn_cases = 1000\n")
@@ -362,10 +371,11 @@ def twin_cell(value, how: str, first: bool):
     # extra columns made from earlier columns: the same objects, the same object in the first row
     # only, or distinct objects of equal value (with 0.0 turned into -0.0)
     st.lists(st.tuples(st.integers(0, width - 1), st.sampled_from(["same", "same-head", "copy", "flip-zero"])),
-             max_size=3))))
+             max_size=3),
+    st.sampled_from([list, tuple]))))
 def test_write_table_csv_bytes_match_per_cell_encoder(tmp_path_factory, table):
-    rows, width, twins = table
-    rows = [[*row, *(twin_cell(row[k], how, n == 0) for k, how in twins)] for n, row in enumerate(rows)]
+    rows, width, twins, row_type = table
+    rows = [row_type([*row, *(twin_cell(row[k], how, n == 0) for k, how in twins)]) for n, row in enumerate(rows)]
     columns = [f"c{i}" for i in range(width + len(twins))]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for row in rows for v in row):
@@ -407,13 +417,17 @@ def reference_json(columns, rows) -> bytes:
                        st.lists(st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=5)),
                                 min_size=width, max_size=width),
                        st.lists(cell_values | st.text(max_size=5), min_size=width, max_size=width)), max_size=6),
-    st.just(width))))
+    st.just(width),
+    st.sampled_from([list, tuple, iter]),
+    st.sampled_from([list, iter]))))
 def test_write_table_json_bytes_match_per_cell_encoder(tmp_path_factory, table):
-    rows, width = table
+    rows, width, row_type, table_type = table
     columns = [f"c{i}" for i in range(width)]
     path = tmp_path_factory.mktemp("json") / "t.json"
     expected = reference_json(columns, rows)
     cells = [value for row in json.loads(expected)["rows"] for value in row]
+    # list and tuple rows of plain cells are written as given; rows or a table that can be read only once are not
+    rows = table_type(row_type(row) for row in rows)
     if not all(math.isfinite(value) for value in cells if isinstance(value, float)):
         # the reference writes bare NaN/Infinity tokens, which RFC 8259 does not allow: write_table refuses
         with pytest.raises(ValueError, match="NaN or infinite"):
@@ -1052,7 +1066,8 @@ def test_cli_contract_holds_for_random_documents(text, fault):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
         scn = os.path.join(root, "scn.txt")
-        with open(scn, "w", encoding="utf-8") as fh:
+        # a drawn lone surrogate is written as the bytes UTF-8 cannot hold: a file that is not UTF-8 (exit 2)
+        with open(scn, "w", encoding="utf-8", errors="surrogatepass") as fh:
             fh.write(text)
         out_dir = os.path.join(root, "out")
         argv = [command, scn] + (["--out", out_dir] if command == "run" else [])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quatspin.quaternion import (
     IDENTITY,
@@ -26,6 +27,7 @@ from quatspin.spin import (
     PmsConfig,
     SpinTrajectory,
     StepTooLarge,
+    _step_quaternions,
     analytic_helical,
     helical_field,
     helical_params_from_field,
@@ -322,6 +324,58 @@ def test_field_generator_is_antisymmetric():
         ds = quat_mul(a, s)
         assert np.allclose(ds.as_array(), to_eta(a) @ s.as_array(), rtol=0, atol=1e-14)
         assert abs(float(s.as_array() @ ds.as_array())) < 1e-12
+
+
+def scalar_step_quaternion(b1, b2, b3, coeffs, coupling) -> np.ndarray:
+    """integrate_spin's RK4 step quaternion for one step from scalar quat_mul, in the batched association order."""
+    a1, a2, a3 = (Quaternion(0.0, *(-0.5 * coupling * b).tolist()) for b in (b1, b2, b3))
+    a21, a22, a32 = quat_mul(a2, a1), quat_mul(a2, a2), quat_mul(a3, a2)
+    a221 = quat_mul(a22, a1)
+    a322, a3221 = quat_mul(a3, a22), quat_mul(a3, a221)
+    h1, h2, h3, h4 = coeffs
+    v = Quaternion.as_array
+    m = h1 * (v(a1) + 4.0 * v(a2) + v(a3)) + h2 * (v(a21) + v(a22) + v(a32)) + h3 * (v(a221) + v(a322)) + h4 * v(a3221)
+    m[0] += 1.0
+    return m
+
+
+@st.composite
+def step_blocks(draw):
+    """(starts, h, fields, coupling) for a block of steps that passes the 0.5 rad step check."""
+    n = draw(st.integers(1, 6))
+    coupling = draw(st.floats(-20.0, 20.0))
+    fields = draw(arrays(float, (3 * n, 3), elements=st.floats(-50.0, 50.0)))
+    starts = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    frac = draw(arrays(float, n, elements=st.floats(1e-6, 1.0)))
+    rate = np.abs(coupling) * np.linalg.norm(fields[::3], axis=1)
+    return starts, frac / np.maximum(1.0, rate / 0.49), fields, coupling
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_blocks(), st.booleans())
+def test_step_quaternions_equal_the_scalar_product_row_by_row(block, batched):
+    starts, h, fields, coupling = block
+    sample_times = np.stack([starts, starts + 0.5 * h, starts + h], axis=1).ravel()
+    called = []
+
+    def field_fn(t):
+        called.append(t)
+        return fields[len(called) - 1]
+
+    def sample(times):
+        called.extend(times.tolist())
+        return fields
+
+    if batched:
+        field_fn.sample = sample
+    got = _step_quaternions(field_fn, starts, h, coupling)
+    assert np.array_equal(called, sample_times)
+    # the h powers come from numpy's vector power, which may differ from libm's pow in the last bit
+    coeffs = np.stack([h / 6.0, h * h / 6.0, h**3 / 12.0, h**4 / 24.0], axis=1)
+    assert got.shape == (h.size, 4)
+    for i in range(h.size):
+        want = scalar_step_quaternion(*fields[3 * i : 3 * i + 3], coeffs[i], coupling)
+        assert got[i].tobytes() == want.tobytes()
 
 
 def test_integrate_spin_zero_field_constant():
