@@ -7,10 +7,8 @@ scenario and seed reproduce byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass
@@ -52,12 +50,14 @@ def _run_pms(scn: Scenario):
     p0 = np.array([0.0, 0.0, 1.0])
     traj = spin.pms_propagate(cfg, p0)
     base, mid = traj.polar[:, 0], traj.polar[:, 1]
-    base_rows = np.concatenate([traj.states, base, mid], axis=1).tolist()
-    mid_rows = np.concatenate([traj.mid_states, mid, mid], axis=1).tolist()
-    rows = [row for n, (at_base, at_mid) in enumerate(zip(base_rows, mid_rows))
-            for row in ([2 * n, float(n), *at_base], [2 * n + 1, n + 0.5, *at_mid])]
-    closure = float(np.linalg.norm(traj.polar[-1, 0] - p0))
-    return _TRAJ_COLUMNS, rows, {"closure_distance": closure, "resonant_geometry": float(cfg.is_resonant(1e-9))}
+    # station n gives the arrow-base row (s_n, P_n, P_n_mid), then the post-bar row (mid state, P_n_mid twice)
+    table = np.stack([np.concatenate([traj.states, base, mid], axis=1),
+                      np.concatenate([traj.mid_states, mid, mid], axis=1)], axis=1).reshape(-1, 10)
+    step = np.arange(len(table))
+    summary = {"closure_distance": float(np.linalg.norm(traj.polar[-1, 0] - p0)),
+               "resonant_geometry": float(cfg.is_resonant(1e-9))}
+    # step / 2 is n on a base row and n + 0.5 on a post-bar row, exactly
+    return _TRAJ_COLUMNS, [step, step / 2.0, *table.T], summary
 
 
 def _run_helical(scn: Scenario):
@@ -67,20 +67,20 @@ def _run_helical(scn: Scenario):
     traj = spin.integrate_spin(spin.helical_field(params), spin.IDENTITY, (0.0, p["t_max"]), p["dt"])
     # sign -1 reads the polarization from the conjugate states (the reversed rotation)
     readout = traj.states if p["sign"] > 0 else traj.states * np.array([1.0, -1.0, -1.0, -1.0])
-    pvec = rotate_batch(readout, np.array([0.0, 0.0, 1.0]))
-    cols = np.column_stack([traj.times, traj.states, pvec]).T.tolist()
-    # *_mid cells are the px, py, pz objects (encoded once); lists, as freed 12-tuples stay on the tuple free list
-    rows = list(map(list, zip(range(len(traj)), *cols, *cols[5:])))
+    px, py, pz = rotate_batch(readout, np.array([0.0, 0.0, 1.0])).T
     drift = float(np.max(np.abs(np.einsum("ij,ij->i", traj.states, traj.states) - 1.0)))
-    return _TRAJ_COLUMNS, rows, {"final_pz": rows[-1][8], "max_norm_drift": drift}
+    # no bar sub-rotation: the *_mid columns are the px, py, pz arrays themselves, which the writer encodes once
+    columns = [np.arange(len(traj)), traj.times, *traj.states.T, px, py, pz, px, py, pz]
+    return _TRAJ_COLUMNS, columns, {"final_pz": float(pz[-1]), "max_norm_drift": drift}
 
 
 def _run_resonance_curve(scn: Scenario):
     from . import spin
     p = scn.params
-    rows = spin.resonance_curve(p["gamma"], p["delta_min"], p["delta_max"], p["n_points"], p["t_pass"]).tolist()
-    peak = max(rows, key=lambda r: r[1])
-    return ("delta", "p_down", "p_up"), rows, {"peak_p_down": peak[1], "peak_delta": peak[0]}
+    delta, p_down, p_up = spin.resonance_curve(p["gamma"], p["delta_min"], p["delta_max"], p["n_points"], p["t_pass"]).T
+    peak = int(np.argmax(p_down))  # the first of equal peaks
+    summary = {"peak_p_down": float(p_down[peak]), "peak_delta": float(delta[peak])}
+    return ("delta", "p_down", "p_up"), [delta, p_down, p_up], summary
 
 
 def _em_case(name: str):
@@ -119,25 +119,18 @@ def _run_em_check(scn: Scenario):
     def level(h: float):
         res = emfield.maxwell_residual(fld, None, point, h)
         wave = emfield.wave_residual(fld, point, h)
-        return [
-            ("gauss_b", abs(res.gauss_b)),
-            ("faraday", float(np.max(np.abs(res.faraday)))),
-            ("ampere", float(np.max(np.abs(res.ampere)))),
-            ("gauss_e", abs(res.gauss_e)),
-            ("wave", float(np.max(np.abs(wave)))),
-        ]
+        return [abs(res.gauss_b), float(np.max(np.abs(res.faraday))), float(np.max(np.abs(res.ampere))),
+                abs(res.gauss_e), float(np.max(np.abs(wave)))]
 
-    tables = [level(h) for h in steps]
-    rows = [[h, name, value] for h, table in zip(steps, tables) for name, value in table]
-    summary = {"max_residual": max(value for table in tables for _, value in table)}
-    orders = []
-    for coarse, fine in zip(tables[:-1], tables[1:]):
-        for (name, vc), (_, vf) in zip(coarse, fine):
-            if vf > 1e-14 and vc > 1e-14:
-                orders.append(math.log2(vc / vf))
+    names = ("gauss_b", "faraday", "ampere", "gauss_e", "wave")  # level's order
+    table = [level(h) for h in steps]
+    summary = {"max_residual": max(map(max, table))}
+    orders = [math.log2(vc / vf) for coarse, fine in zip(table[:-1], table[1:])
+              for vc, vf in zip(coarse, fine) if vf > 1e-14 and vc > 1e-14]
     if orders:
         summary["min_order"] = min(orders)
-    return ("h", "residual_name", "value"), rows, summary
+    columns = [np.repeat(steps, len(names)), np.tile(np.array(names), len(steps)), np.array(table).ravel()]
+    return ("h", "residual_name", "value"), columns, summary
 
 
 def _run_lorentz_check(scn: Scenario):
@@ -177,9 +170,9 @@ def _run_lorentz_check(scn: Scenario):
     closed_vs_conj = np.max(np.abs(closed - f), axis=1) / np.sqrt(scale)
     table = np.column_stack([np.abs(i1p - i1) / scale, np.abs(i2p - i2) / scale, closed_vs_conj, np.abs(w0p - w0)])
     names = ("i1_rel_err", "i2_rel_err", "closed_vs_conj", "w0_change")
-    rows = [[i, name, value] for i, values in enumerate(table.tolist()) for name, value in zip(names, values)]
     summary = {f"max_{name}": float(col.max()) for name, col in zip(names, table.T)}
-    return ("case", "name", "value"), rows, summary
+    columns = [np.repeat(np.arange(n), len(names)), np.tile(np.array(names), n), table.ravel()]
+    return ("case", "name", "value"), columns, summary
 
 
 _RUNNERS = {
@@ -195,65 +188,61 @@ _RUNNERS = {
 # output encoding
 
 
-def _refuse_non_finite(columns, cols, kinds):
-    """Raise ValueError naming the first column that holds a NaN or inf."""
-    for name, col, kind in zip(columns, cols, kinds):
-        # a finite sum proves a float column finite, so a column is scanned only when its sum is not
-        if kind <= {int, str, bool} or kind == {float} and math.isfinite(sum(col)):
-            continue
-        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in col):
-            raise ValueError(f"column {name!r} holds a NaN or infinite value")
+_BLOCK_ROWS = 512  # rows encoded at a time: the writer holds one block's cells, however long the table
+# a CSV cell's text by its column's dtype kind; json.dumps writes a float or an int with the same repr
+_CELL_TEXT = {"f": float.__repr__, "i": int.__repr__, "U": str}
 
 
-def _jsonable(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
+def _blocks(columns, cell_text: bool):
+    """Each block of rows as an iterator of cell tuples; the cells of a column given twice are made once."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = {}
+        for col in columns:
+            if id(col) not in cells:  # not setdefault, which would make the default for every column
+                values = col[lo:lo + _BLOCK_ROWS].tolist()
+                cells[id(col)] = list(map(_CELL_TEXT[col.dtype.kind], values)) if cell_text else values
+        yield zip(*(cells[id(col)] for col in columns))
 
 
-def _cell(value) -> str:
-    # JSON writes a float as its shortest round-trip repr and a bool as true/false
-    return value if isinstance(value, str) else json.dumps(_jsonable(value))
+def _csv_text(names, columns):
+    yield ",".join(names) + "\n"
+    for rows in _blocks(columns, True):
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
-def write_table(path: str, columns, rows, fmt: str):
-    """Write the table as CSV (comma, LF, UTF-8, header row) or JSON, atomically; rows must be of equal length.
+def _json_text(names, columns):
+    # {"columns":[...],"rows":[[...],...]} with the separators of json.dumps(..., separators=(",", ":"))
+    yield '{"columns":' + json.dumps(list(names), separators=(",", ":")) + ',"rows":['
+    for i, rows in enumerate(_blocks(columns, False)):
+        # RFC 8259 has no NaN or Infinity: write_table has refused them, allow_nan=False stays as a guard
+        yield ("," if i else "") + json.dumps(list(rows), separators=(",", ":"), allow_nan=False)[1:-1]
+    yield "]}\n"
 
-    A NaN or inf cell raises ValueError naming the first column that holds one.  A CSV column made of the
-    very objects of an earlier column (``is``, cell by cell) reuses that column's encoded cells.
+
+def write_table(path: str, names, columns, fmt: str):
+    """Write the table as CSV (comma, LF, UTF-8, header row) or JSON, atomically.
+
+    ``columns`` are equal-length 1-D numpy arrays of float64, int64 or str, one per name.  A column with a
+    NaN or inf raises ValueError naming the first such column, before anything is written.  A column that is
+    given twice (the same array object) is encoded once.
     """
-    cols = list(zip(*rows, strict=True))
-    kinds = [set(map(type, col)) for col in cols]
-    _refuse_non_finite(columns, cols, kinds)
-    if fmt == "csv":
-        encoded = []
-        for j, (col, kind) in enumerate(zip(cols, kinds)):
-            twin = next((i for i in range(j) if col[0] is cols[i][0] and all(map(operator.is_, col, cols[i]))), None)
-            if twin is not None:  # the same objects encode to the same cells: encode them once, share the list
-                encoded[twin] = list(encoded[twin])
-                encoded.append(encoded[twin])
-            else:  # a column of exact floats or ints encodes as _cell would, without the per-cell dispatch
-                encode = float.__repr__ if kind == {float} else int.__repr__ if kind == {int} else _cell
-                encoded.append(map(encode, col))
-        lines = (",".join(cells) + "\n" for cells in itertools.chain([columns], zip(*encoded)))
-    else:
-        # json writes a tuple as a list, and a cell of exact float, int or str type as _jsonable returns it
-        as_given = isinstance(rows, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in rows)
-        if not (as_given and set().union(*kinds) <= {float, int, str}):
-            rows = list(zip(*(map(_jsonable, col) for col in cols)))
-        # RFC 8259 has no NaN or Infinity; _refuse_non_finite has named the column, allow_nan=False stays as a guard
-        doc = json.dumps({"columns": list(columns), "rows": rows}, separators=(",", ":"), allow_nan=False)
-        lines = [doc + "\n"]
+    if not columns or len(names) != len(columns):
+        raise ValueError(f"a table needs one name per column and at least one column, got {len(names)} names "
+                         f"for {len(columns)} columns")
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("the columns differ in length")
+    for name, col in zip(names, columns):
+        if col.dtype.kind not in _CELL_TEXT:
+            raise TypeError(f"column {name!r} is of dtype {col.dtype}, not a float, int or str dtype")
+        if col.dtype.kind == "f" and not np.isfinite(col).all():
+            raise ValueError(f"column {name!r} holds a NaN or infinite value")
+    text = _csv_text(names, columns) if fmt == "csv" else _json_text(names, columns)
     # a fixed-length temporary name renamed onto path: path holds the whole table or what it held before
     tmp = os.path.join(os.path.dirname(path), f".quatspin-{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.writelines(lines)
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -263,13 +252,13 @@ def write_table(path: str, columns, rows, fmt: str):
 def run_scenario(scn: Scenario, out_dir: str = ".") -> RunReport:
     """Execute a validated scenario and write its output table."""
     started = time.perf_counter()
-    columns, rows, summary = _RUNNERS[scn.kind](scn)
+    names, columns, summary = _RUNNERS[scn.kind](scn)
     for key in sorted(summary):  # refused by name before anything is written, as a table cell is
         if not math.isfinite(summary[key]):
             raise ValueError(f"summary key {key!r} holds a NaN or infinite value")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, scn.output)
-    write_table(path, columns, rows, scn.fmt)
+    write_table(path, names, columns, scn.fmt)
     return RunReport(
         scenario=scn,
         summary=summary,

@@ -7,17 +7,18 @@ import io
 import json
 import math
 import os
-import pickle
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quatspin
@@ -271,11 +272,10 @@ def test_run_helical(tmp_path):
 
 def test_run_helical_mid_cells_are_the_polarization_cells():
     scn = validate_scenario({"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.0, "t_max": 5.0, "dt": 0.05})
-    columns, rows, _ = scenarios._run_helical(scn)
-    pairs = [(columns.index(name), columns.index(f"{name}_mid")) for name in ("px", "py", "pz")]
-    assert len(rows) == 101
-    # the same objects, so that write_table encodes each of them once
-    assert all(row[j] is row[k] for row in rows for j, k in pairs)
+    names, columns, _ = scenarios._run_helical(scn)
+    assert len(columns[0]) == 101
+    # the same array objects, so that write_table encodes each of them once
+    assert all(columns[names.index(f"{name}_mid")] is columns[names.index(name)] for name in ("px", "py", "pz"))
 
 
 def test_lorentz_check_accepts_large_rapidities(tmp_path):
@@ -341,56 +341,73 @@ def reference_csv(columns, rows) -> bytes:
     return "".join(",".join(map(cell, row)) + "\n" for row in [columns, *rows]).encode("utf-8")
 
 
-cell_values = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(-(2**70), 2**70),
-    st.booleans(),
-    st.text(st.characters(blacklist_characters=",\n\r"), max_size=5),
-    st.floats(width=64).map(np.float64),
-    st.integers(-1000, 1000).map(np.int64),
-    st.booleans().map(np.bool_),
-)
+def column_values(n: int, text):
+    """One column of n cells: float64 (finite, or with NaN and inf), int64 or str."""
+    return st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+        st.lists(st.floats(), min_size=n, max_size=n),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(text, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=str)),
+    ).map(lambda v: v if isinstance(v, np.ndarray) else np.array(v, dtype=np.float64))
 
 
-def twin_cell(value, how: str, first: bool):
-    """A cell of a column built from an earlier one: its very object, or an equal-valued distinct one."""
-    if how == "same" or how == "same-head" and first:
-        return value
-    if how == "same-head":
-        return "other"  # the first cell is shared, the rest differ
-    if how == "flip-zero" and isinstance(value, (float, np.floating)) and value == 0.0:
-        return -value  # equal to value, but "-0.0" against "0.0"
-    return pickle.loads(pickle.dumps(value))  # a new object of the same value (small ints stay cached)
+def typed_tables(text):
+    """(columns, extra columns made from earlier ones, write block size): rows 0..6, 1..4 drawn columns."""
+    return st.tuples(st.integers(0, 6), st.integers(1, 4)).flatmap(lambda shape: st.tuples(
+        st.lists(column_values(shape[0], text), min_size=shape[1], max_size=shape[1]),
+        # the same array object, or an equal-valued copy (with 0.0 turned into -0.0)
+        st.lists(st.tuples(st.integers(0, shape[1] - 1), st.sampled_from(["same", "copy", "flip-zero"])), max_size=3),
+        st.integers(1, 4)))
+
+
+def with_twins(columns, twins):
+    columns = list(columns)
+    for k, how in twins:
+        col = columns[k]
+        if how == "flip-zero" and col.dtype.kind == "f":
+            col = np.where(col == 0.0, -col, col)  # equal to the column, but "-0.0" against "0.0"
+        elif how != "same":
+            col = col.copy()
+        columns.append(col)
+    return columns
+
+
+def first_non_finite(names, columns):
+    return next((name for name, col in zip(names, columns)
+                 if col.dtype.kind == "f" and not np.isfinite(col).all()), None)
+
+
+# surrogates have no UTF-8 encoding; NUL is left out, as numpy's str dtype drops a trailing one
+ANY_TEXT = st.text(st.characters(blacklist_characters="\0") | st.sampled_from(["\ud800", "\udfff"]), max_size=5)
+
+
+# a twin that equals its column but for the sign of a zero must not share the column's cells
+FLIPPED_ZERO_TWIN = ([np.array([0.0, 1.0, -0.0])], [(0, "flip-zero")], 2)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
-    st.lists(st.one_of(st.lists(st.floats(allow_nan=False), min_size=width, max_size=width),
-                       st.lists(cell_values, min_size=width, max_size=width)), max_size=6),
-    st.just(width),
-    # extra columns made from earlier columns: the same objects, the same object in the first row
-    # only, or distinct objects of equal value (with 0.0 turned into -0.0)
-    st.lists(st.tuples(st.integers(0, width - 1), st.sampled_from(["same", "same-head", "copy", "flip-zero"])),
-             max_size=3),
-    st.sampled_from([list, tuple]))))
+@example(FLIPPED_ZERO_TWIN)
+@given(typed_tables(st.text(st.characters(blacklist_characters=",\n\r\0") | st.just("\ud800"), max_size=5)))
 def test_write_table_csv_bytes_match_per_cell_encoder(tmp_path_factory, table):
-    rows, width, twins, row_type = table
-    rows = [row_type([*row, *(twin_cell(row[k], how, n == 0) for k, how in twins)]) for n, row in enumerate(rows)]
-    columns = [f"c{i}" for i in range(width + len(twins))]
+    columns, twins, block = table
+    columns = with_twins(columns, twins)
+    names = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for row in rows for v in row):
-        # a NaN or inf cell is refused in CSV as in JSON, and nothing is written
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            write_table(str(path), columns, rows, "csv")
-        assert list(path.parent.iterdir()) == []
-        return
-    try:
-        expected = reference_csv(columns, rows)
-    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 encoding: both encoders must refuse it
-        with pytest.raises(UnicodeEncodeError):
-            write_table(str(path), columns, rows, "csv")
-        return
-    write_table(str(path), columns, rows, "csv")
+    with mock.patch.object(scenarios, "_BLOCK_ROWS", block):  # several blocks, so that their seams are covered
+        if (bad := first_non_finite(names, columns)) is not None:
+            # a NaN or inf cell is refused in CSV as in JSON, naming the first column that holds one
+            with pytest.raises(ValueError, match=f"^column {bad!r} holds a NaN or infinite value$"):
+                write_table(str(path), names, columns, "csv")
+            assert list(path.parent.iterdir()) == []
+            return
+        try:
+            expected = reference_csv(names, zip(*(col.tolist() for col in columns)))
+        except UnicodeEncodeError:  # a lone surrogate has no UTF-8 encoding: both encoders must refuse it
+            with pytest.raises(UnicodeEncodeError):
+                write_table(str(path), names, columns, "csv")
+            assert list(path.parent.iterdir()) == []
+            return
+        write_table(str(path), names, columns, "csv")
     assert path.read_bytes() == expected
 
 
@@ -412,81 +429,112 @@ def reference_json(columns, rows) -> bytes:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
-    st.lists(st.one_of(st.lists(st.floats(), min_size=width, max_size=width),
-                       st.lists(st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=5)),
-                                min_size=width, max_size=width),
-                       st.lists(cell_values | st.text(max_size=5), min_size=width, max_size=width)), max_size=6),
-    st.just(width),
-    st.sampled_from([list, tuple, iter]),
-    st.sampled_from([list, iter]))))
+@example(FLIPPED_ZERO_TWIN)
+@given(typed_tables(ANY_TEXT))
 def test_write_table_json_bytes_match_per_cell_encoder(tmp_path_factory, table):
-    rows, width, row_type, table_type = table
-    columns = [f"c{i}" for i in range(width)]
+    columns, twins, block = table
+    columns = with_twins(columns, twins)
+    names = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("json") / "t.json"
-    expected = reference_json(columns, rows)
-    cells = [value for row in json.loads(expected)["rows"] for value in row]
-    # list and tuple rows of plain cells are written as given; rows or a table that can be read only once are not
-    rows = table_type(row_type(row) for row in rows)
-    if not all(math.isfinite(value) for value in cells if isinstance(value, float)):
-        # the reference writes bare NaN/Infinity tokens, which RFC 8259 does not allow: write_table refuses
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            write_table(str(path), columns, rows, "json")
-        assert list(path.parent.iterdir()) == []
-        return
-    write_table(str(path), columns, rows, "json")
+    expected = reference_json(names, zip(*(col.tolist() for col in columns)))
+    with mock.patch.object(scenarios, "_BLOCK_ROWS", block):  # several blocks, so that their seams are covered
+        if (bad := first_non_finite(names, columns)) is not None:
+            # the reference writes bare NaN/Infinity tokens, which RFC 8259 does not allow: write_table refuses
+            with pytest.raises(ValueError, match=f"^column {bad!r} holds a NaN or infinite value$"):
+                write_table(str(path), names, columns, "json")
+            assert list(path.parent.iterdir()) == []
+            return
+        write_table(str(path), names, columns, "json")
     assert path.read_bytes() == expected
+
+
+def typed(rows):
+    """The columns of equal-length rows, each as the numpy array of its cells."""
+    return [np.array(col) for col in zip(*rows)]
 
 
 def test_write_table_is_atomic(tmp_path):
     target = tmp_path / "t.csv"
     # a lone surrogate has no UTF-8 encoding: the CSV encode fails part-way through the table
     with pytest.raises(UnicodeEncodeError):
-        write_table(str(target), ("a", "b"), [[1.0, "x"], [2.0, "\ud800"]], "csv")
+        write_table(str(target), ("a", "b"), typed([[1.0, "x"], [2.0, "\ud800"]]), "csv")
     assert list(tmp_path.iterdir()) == []
     target.write_bytes(b"kept\n")
-    failing = [("csv", [[1.0, "x"], [2.0, "\ud800"]]), ("json", [[1.0, object()]]), ("csv", [[1.0, 2.0], [3.0]]),
-               ("json", [[1.0, math.nan]]), ("csv", [[1.0, 2.0], [3.0, math.inf]])]
-    for fmt, rows in failing:
+    failing = [("csv", typed([[1.0, "x"], [2.0, "\ud800"]])), ("json", [np.array([1.0]), np.array([object()])]),
+               ("csv", [np.array([1.0, 3.0]), np.array([2.0])]), ("json", typed([[1.0, math.nan]])),
+               ("csv", typed([[1.0, 2.0], [3.0, math.inf]]))]
+    for fmt, columns in failing:
         with pytest.raises((UnicodeEncodeError, TypeError, ValueError)):
-            write_table(str(target), ("a", "b"), rows, fmt)
+            write_table(str(target), ("a", "b"), columns, fmt)
         assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"kept\n"
-    write_table(str(target), ("a", "b"), [[1, 0.5]], "csv")
+    write_table(str(target), ("a", "b"), typed([[1, 0.5]]), "csv")
     assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"a,b\n1,0.5\n"
 
 
 def test_write_table_json_names_the_first_non_finite_column(tmp_path):
     rows = [[np.float64(-math.inf), 2, "x", 0.5], [np.float64(0.5), 3, "y", math.inf], [2.0, 4, "z", math.nan]]
     with pytest.raises(ValueError, match="column 'a' holds a NaN or infinite value"):
-        write_table(str(tmp_path / "t.json"), ("a", "b", "c", "d"), rows, "json")
+        write_table(str(tmp_path / "t.json"), ("a", "b", "c", "d"), typed(rows), "json")
     with pytest.raises(ValueError, match="column 'd' holds"):
-        write_table(str(tmp_path / "t.json"), ("a", "b", "c", "d"), rows[1:], "json")
+        write_table(str(tmp_path / "t.json"), ("a", "b", "c", "d"), typed(rows[1:]), "json")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_write_table_csv_names_the_first_non_finite_column(tmp_path):
     rows = [[1, 1e308, np.float64(0.5), "x", math.inf], [2, 1e308, np.float64(math.nan), "y", 0.5]]
-    # column b's sum overflows although every cell is finite: it is scanned and passes
+    # column b's sum overflows although every cell is finite: it passes
     with pytest.raises(ValueError, match="^column 'c' holds a NaN or infinite value$"):
-        write_table(str(tmp_path / "t.csv"), ("a", "b", "c", "d", "e"), rows, "csv")
+        write_table(str(tmp_path / "t.csv"), ("a", "b", "c", "d", "e"), typed(rows), "csv")
     with pytest.raises(ValueError, match="^column 'e' holds"):
-        write_table(str(tmp_path / "t.csv"), ("a", "b", "c", "d", "e"), [row[:2] + [0.5] + row[3:] for row in rows], "csv")
+        write_table(str(tmp_path / "t.csv"), ("a", "b", "c", "d", "e"),
+                    typed(row[:2] + [0.5] + row[3:] for row in rows), "csv")
     assert list(tmp_path.iterdir()) == []
-    write_table(str(tmp_path / "t.csv"), ("a", "b"), [row[:2] for row in rows], "csv")
+    write_table(str(tmp_path / "t.csv"), ("a", "b"), typed(row[:2] for row in rows), "csv")
     assert (tmp_path / "t.csv").read_bytes() == b"a,b\n1,1e+308\n2,1e+308\n"
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError):
-        write_table(str(tmp_path / "t.csv"), ("a", "b"), [[1, 0.5], [2]], "csv")
+        write_table(str(tmp_path / "t.csv"), ("a", "b"), [np.array([1, 2]), np.array([0.5])], "csv")
 
 
 def test_write_table_csv_lf_endings(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_table(path, ("a", "b"), [[1, 0.5], [2, 0.25]], "csv")
+    write_table(path, ("a", "b"), typed([[1, 0.5], [2, 0.25]]), "csv")
     blob = Path(path).read_bytes()
     assert b"\r" not in blob
     assert blob.decode("utf-8") == "a,b\n1,0.5\n2,0.25\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("names, columns", [
+    ((), []),
+    (("a", "b", "c"), [np.array([1]), np.array([2])]),  # a header wider than its rows
+    (("a",), [np.array([1]), np.array([2])]),  # rows wider than their header
+])
+def test_write_table_needs_one_name_per_column_and_a_column(tmp_path, fmt, names, columns):
+    with pytest.raises(ValueError, match="one name per column and at least one column"):
+        write_table(str(tmp_path / f"t.{fmt}"), names, columns, fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_holds_one_block_of_cells_however_long_the_table(tmp_path, fmt):
+    names = ("a", "b", "c", "d")
+    write_table(str(tmp_path / f"t.{fmt}"), names, [np.zeros(1)] * len(names), fmt)  # one-time allocations first
+    peaks = []
+    for blocks in (4, 32):
+        n = blocks * scenarios._BLOCK_ROWS
+        columns = [np.linspace(k, k + 1.0, n) / 3.0 for k in range(len(names))]
+        tracemalloc.start()
+        try:
+            write_table(str(tmp_path / f"t.{fmt}"), names, columns, fmt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a writer that holds every row at once peaks about 28 blocks of cells higher on the longer table
+    one_block = scenarios._BLOCK_ROWS * len(names) * sys.getsizeof(0.5)
+    assert abs(peaks[1] - peaks[0]) < one_block, (peaks, one_block)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +588,7 @@ def test_cli_run_format_override(tmp_path):
 
 def nan_table_runner(scn):
     """A resonance-curve runner whose table holds a NaN: the schema refuses every document known to make one."""
-    return ("delta", "p_down", "p_up"), [[0.0, 0.5, 0.5], [0.1, math.nan, 1.0]], {"peak_p_down": 0.5}
+    return ("delta", "p_down", "p_up"), typed([[0.0, 0.5, 0.5], [0.1, math.nan, 1.0]]), {"peak_p_down": 0.5}
 
 
 def test_cli_non_finite_json_table_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -562,7 +610,8 @@ def test_cli_non_finite_csv_table_is_a_config_error(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_cli_non_finite_summary_is_a_config_error(tmp_path, capsys, monkeypatch, value):
     def runner(scn):
-        return ("delta", "p_down", "p_up"), [[0.0, 0.5, 0.5]], {"peak_delta": 0.0, "peak_p_down": value, "z": value}
+        summary = {"peak_delta": 0.0, "peak_p_down": value, "z": value}
+        return ("delta", "p_down", "p_up"), typed([[0.0, 0.5, 0.5]]), summary
 
     monkeypatch.setitem(scenarios._RUNNERS, "resonance-curve", runner)
     path = write_scenario(tmp_path, RESONANT_CURVE)
@@ -989,6 +1038,62 @@ def test_shipped_scenario_tables_keep_their_golden_digests(tmp_path):
             with open(report.outputs[0], "rb") as fh:
                 digests[name, fmt] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == SHIPPED_DIGESTS
+
+
+# documents the shipped scenarios leave out: a reversed readout, the other em cases, an empty chain, another
+# seed and rapidity; the longer tables span several of write_table's blocks, so that the block seams are pinned
+PINNED_DOCUMENTS = {
+    "helical-sign-minus": {"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.005, "t_max": 120.0,
+                           "dt": 0.1, "sign": -1},
+    "em-point-charge": {"kind": "em-check", "case": "point-charge", "h0": 0.05, "n_levels": 4},
+    "em-constant": {"kind": "em-check", "case": "constant"},
+    "pms-no-blocks": {"kind": "pms", "xi1": 0.3, "xi2": 0.01, "theta": 0.15, "n_blocks": 0},
+    "pms-two-blocks": {"kind": "pms", "xi1": 0.25, "xi2": 0.02, "theta": 0.1, "n_blocks": 300},
+    "lorentz-seed": {"kind": "lorentz-check", "n_cases": 200, "max_generators": 3, "rapidity_max": 7.5, "seed": 2024},
+    "resonance-seams": {"kind": "resonance-curve", "gamma": 0.04, "delta_min": -0.4, "delta_max": 0.4,
+                        "n_points": 2000, "t_pass": 78.53981633974483},
+}
+PINNED_DIGESTS = {
+    ("em-constant", "csv"): "74097382e936b6d560e8938fdf84906b9847f0e5072bfcf238f7ce381622b932",
+    ("em-constant", "json"): "c81b6b04187589cb61ac795afef7ed013ed3693c99c54680b86a7a2c5719976d",
+    ("em-point-charge", "csv"): "55c5c8e6ac9496c0f16ea62ded9a92069bd0ac96ec951135665e0087a7bcedf3",
+    ("em-point-charge", "json"): "b50985fda903dc5012365c5e85bce67292831049432e9d51b1dc01a68b40d41e",
+    ("helical-sign-minus", "csv"): "e0f75e10897107e3afa02338080fe9b5592b7f8b914b78c0ad16736a090a11bd",
+    ("helical-sign-minus", "json"): "aa9657e161e61947bfd064d549e347523b682771b8ca1ce1bccd353c831e5201",
+    ("lorentz-seed", "csv"): "af41ab763946d9f0c0fbf60551ef64225c83944f02df235b1c20aaeeca1a25c2",
+    ("lorentz-seed", "json"): "793393f10a30219e2617589372a1fca5fcc7b3c4ce3c231df9083820c1a6b7cd",
+    ("pms-no-blocks", "csv"): "404f87a465b6d1170990288d467e63db2f5b900e77355695e1a78b911517f4a9",
+    ("pms-no-blocks", "json"): "492b6f5b5a56ce0df87c00d4ca0265ea85d6a1af1582b0debc45e93928713c09",
+    ("pms-two-blocks", "csv"): "478393b85b63a2347e13e750a2952820a88da13f37a432eccee1c0bc4d531630",
+    ("pms-two-blocks", "json"): "534b05dd51b5a4b705014a87da12151cf5eb0f4adac8f15528b6a867c207e7c9",
+    ("resonance-seams", "csv"): "aaf4fe4f5a1f8cf076115f207770d0e08d99ba0ee3b5218e443b35483c91f253",
+    ("resonance-seams", "json"): "fa7ebd732c77f12c5829b25347ec6127129f53633d15c7b5083e53bbe984504f",
+}
+# each document's summary, as repr prints it: the same bits in both formats
+PINNED_SUMMARIES = {
+    "em-constant": {"max_residual": 0.0},
+    "em-point-charge": {"max_residual": 0.050438060946400576, "min_order": 1.9939593451450512},
+    "helical-sign-minus": {"final_pz": 0.13810773638949725, "max_norm_drift": 4.440892098500626e-16},
+    "lorentz-seed": {"max_closed_vs_conj": 3.3201583447526146e-15, "max_i1_rel_err": 7.00687526692694e-16,
+                     "max_i2_rel_err": 4.400728981097181e-16, "max_w0_change": 2230179287595.1636},
+    "pms-no-blocks": {"closure_distance": 0.0, "resonant_geometry": 0.0},
+    "pms-two-blocks": {"closure_distance": 0.4314701271802637, "resonant_geometry": 0.0},
+    "resonance-seams": {"peak_delta": -0.00020010005002502051, "peak_p_down": 0.9999749752211845},
+}
+
+
+def test_pinned_documents_keep_their_golden_digests_and_summaries(tmp_path):
+    assert PINNED_DOCUMENTS["resonance-seams"]["n_points"] > 3 * scenarios._BLOCK_ROWS
+    digests, summaries = {}, {}
+    for name, doc in PINNED_DOCUMENTS.items():
+        for fmt in ("csv", "json"):
+            scn = validate_scenario(dict(doc, format=fmt, output=f"{name}.{fmt}"))
+            report = run_scenario(scn, out_dir=str(tmp_path))
+            with open(report.outputs[0], "rb") as fh:
+                digests[name, fmt] = hashlib.sha256(fh.read()).hexdigest()
+            summaries.setdefault(name, []).append(repr(sorted(report.summary.items())))
+    assert digests == PINNED_DIGESTS
+    assert summaries == {name: [repr(sorted(s.items()))] * 2 for name, s in PINNED_SUMMARIES.items()}
 
 
 # ---------------------------------------------------------------------------
