@@ -482,7 +482,7 @@ def test_write_table_json_names_the_first_non_finite_column(tmp_path):
 
 def test_write_table_csv_names_the_first_non_finite_column(tmp_path):
     rows = [[1, 1e308, np.float64(0.5), "x", math.inf], [2, 1e308, np.float64(math.nan), "y", 0.5]]
-    # column b's sum overflows although every cell is finite: it passes
+    # column b, all 1e308, is finite and is written
     with pytest.raises(ValueError, match="^column 'c' holds a NaN or infinite value$"):
         write_table(str(tmp_path / "t.csv"), ("a", "b", "c", "d", "e"), typed(rows), "csv")
     with pytest.raises(ValueError, match="^column 'e' holds"):

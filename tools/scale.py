@@ -5,7 +5,7 @@ one the tool prints the wall time, the child's peak resident set (``ru_maxrss``,
 size and sha256 of the table it wrote, so that two source trees can be compared table for table.  It uses
 the standard library only and is not part of the test suite.
 
-Usage: python tools/scale.py [--fraction 0.1] [--src DIR] [--format csv json] [--kind pms helical ...]
+Usage: python tools/scale.py [--fraction 0.1] [--src DIR]
 """
 
 from __future__ import annotations
@@ -64,16 +64,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--fraction", type=float, default=0.1, help="fraction of each size bound (default 0.1)")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="the src tree to run (default: this one)")
-    ap.add_argument("--format", nargs="+", default=["csv", "json"], choices=["csv", "json"])
-    ap.add_argument("--kind", nargs="+", default=list(DOCUMENTS), choices=list(DOCUMENTS))
     args = ap.parse_args(argv)
     if not 0.0 < args.fraction <= 1.0:
         ap.error("--fraction must be in (0, 1]")
     print(f"{'kind':<16}{'format':<8}{'wall_s':>9}{'peak_rss_mb':>13}{'bytes':>12}  sha256")
     with tempfile.TemporaryDirectory() as work:
-        for kind in args.kind:
-            for fmt in args.format:
-                r = run_one(os.path.abspath(args.src), DOCUMENTS[kind](args.fraction), fmt, work)
+        for kind, document in DOCUMENTS.items():
+            for fmt in ("csv", "json"):
+                r = run_one(os.path.abspath(args.src), document(args.fraction), fmt, work)
                 print(f"{kind:<16}{fmt:<8}{r['wall_s']:>9.2f}{r['peak_rss_mb']:>13.1f}{r['bytes']:>12}  {r['sha256']}",
                       flush=True)
     return 0
