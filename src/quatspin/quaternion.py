@@ -64,7 +64,6 @@ ETA_0 = _const([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 ETA_X = _const([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 ETA_Y = _const([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 ETA_Z = _const([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
-ETA_BASIS = (ETA_0, ETA_X, ETA_Y, ETA_Z)
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -88,7 +87,7 @@ class Quaternion:
         a = np.asarray(a, dtype=float)
         if a.shape != (4,):
             raise ValueError(f"expected 4 components, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        return cls(*a.tolist())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s0, self.sx, self.sy, self.sz], dtype=float)

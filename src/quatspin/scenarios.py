@@ -7,7 +7,6 @@ scenario and seed reproduce byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -189,8 +188,9 @@ _RUNNERS = {
 
 
 _BLOCK_ROWS = 512  # rows encoded at a time: the writer holds one block's cells, however long the table
-# a CSV cell's text by its column's dtype kind; json.dumps writes a float or an int with the same repr
-_CELL_TEXT = {"f": float.__repr__, "i": int.__repr__, "U": str}
+# a CSV cell's text by its column's dtype kind; tolist() gives builtin floats and ints, so repr is float.__repr__
+# and int.__repr__ without their slot-wrapper call, and json.dumps writes the same text
+_CELL_TEXT = {"f": repr, "i": repr, "U": str}
 
 
 def _blocks(columns, cell_text: bool):
@@ -211,11 +211,15 @@ def _csv_text(names, columns):
 
 
 def _json_text(names, columns):
+    import json  # only a JSON table needs it: a CSV run does not load it
+
     # {"columns":[...],"rows":[[...],...]} with the separators of json.dumps(..., separators=(",", ":"))
     yield '{"columns":' + json.dumps(list(names), separators=(",", ":")) + ',"rows":['
     for i, rows in enumerate(_blocks(columns, False)):
-        # RFC 8259 has no NaN or Infinity: write_table has refused them, allow_nan=False stays as a guard
-        yield ("," if i else "") + json.dumps(list(rows), separators=(",", ":"), allow_nan=False)[1:-1]
+        # RFC 8259 has no NaN or Infinity: write_table has refused them, allow_nan=False stays as a guard;
+        # a row is a tuple of scalars, so no container can hold itself and the circular check is skipped
+        yield ("," if i else "") + json.dumps(list(rows), separators=(",", ":"), allow_nan=False,
+                                              check_circular=False)[1:-1]
     yield "]}\n"
 
 

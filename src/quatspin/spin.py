@@ -14,6 +14,7 @@ Everything works in phase units: fields enter only through angular rates
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -203,10 +204,14 @@ def pms_propagate(cfg: PmsConfig, p0) -> SpinTrajectory:
     p, _ = _unit_vector(p0, NonUnitPolarization, "polarization")
     u1, u2 = (g.as_array().tolist() for g in pms_block_generators(cfg, 0))
     q, chain = IDENTITY.as_array().tolist(), np.empty((cfg.n_blocks + 1, 2, 4))
-    for n in range(cfg.n_blocks + 1):
-        mid = _mul4(u1, q)
-        chain[n] = q, mid
-        q = _mul4(u2, mid)
+    for lo in range(0, cfg.n_blocks + 1, _BLOCK):
+        flat = []  # q then mid, eight floats per station: one commit per block, and never a whole chain of floats
+        for _ in range(min(_BLOCK, cfg.n_blocks + 1 - lo)):
+            mid = _mul4(u1, q)
+            flat += q
+            flat += mid
+            q = _mul4(u2, mid)
+        chain[lo : lo + len(flat) // 8] = np.fromiter(flat, float, len(flat)).reshape(-1, 2, 4)
     times = np.arange(cfg.n_blocks + 1, dtype=float)
     return SpinTrajectory(times=times, states=chain[:, 0], polar=rotate_batch(chain, p), mid_states=chain[:, 1])
 
@@ -294,7 +299,8 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
             w, x, y, z = _mul4(mk, s)
             norm = math.sqrt(w * w + x * x + y * y + z * z)
             block[k] = s = (w / norm, x / norm, y / norm, z / norm)
-        states[lo + 1 : lo + 1 + len(block)] = block
+        flat = np.fromiter(itertools.chain.from_iterable(block), float, 4 * len(block))
+        states[lo + 1 : lo + 1 + len(block)] = flat.reshape(-1, 4)
         del block  # frees these states before the next block of step quaternions is built
     return SpinTrajectory(times=times, states=states)
 

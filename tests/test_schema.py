@@ -163,7 +163,7 @@ def test_resonance_overflow_check_matches_the_library(gamma, delta_min, delta_ma
 # the command line imports numpy, and dataclasses with the inspect module it pulls in, only to run a valid scenario,
 # and a run imports only its kind's part of the library
 
-HEAVY_IMPORTS = ("dataclasses", "inspect", "numpy", "quatspin.emfield", "quatspin.lorentz", "quatspin.spin")
+HEAVY_IMPORTS = ("dataclasses", "inspect", "json", "numpy", "quatspin.emfield", "quatspin.lorentz", "quatspin.spin")
 # the process ends in os._exit, which runs no atexit hook: the probe reads sys.modules as that call is made
 PROBE = f"""\
 import os, runpy, sys

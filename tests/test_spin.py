@@ -13,6 +13,7 @@ from quatspin.quaternion import (
     from_axis_angle,
     quat_mul,
     quat_to_rotation,
+    rotate_batch,
     to_eta,
 )
 from quatspin.spin import (
@@ -163,6 +164,24 @@ def test_pms_mid_states_are_the_bar_images():
         assert np.array_equal(traj.mid_states[n], quat_mul(u1, traj.state(n)).as_array())
         assert np.array_equal(traj.polar[n, 1], quat_to_rotation(Quaternion.from_array(traj.mid_states[n]))[:, 2])
     assert np.allclose(traj.polarization(POLE), traj.polar[:, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1023, 1024, 2051])
+def test_pms_propagate_equals_the_per_station_product_across_block_seams(n_blocks):
+    # n_blocks + 1 stations: one, one full block, a full block and one station, two full blocks and four stations
+    cfg = PmsConfig(n_blocks, 0.7, 0.05, 0.11)
+    u1, u2 = pms_block_generators(cfg, 0)
+    q, states, mids = IDENTITY, [], []
+    for _ in range(n_blocks + 1):
+        mid = quat_mul(u1, q)
+        states.append(q.as_array())
+        mids.append(mid.as_array())
+        q = quat_mul(u2, mid)
+    states, mids = np.array(states), np.array(mids)
+    traj = pms_propagate(cfg, POLE)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.mid_states.tobytes() == mids.tobytes()
+    assert traj.polar.tobytes() == rotate_batch(np.stack([states, mids], axis=1), POLE).tobytes()
 
 
 def test_pms_states_unit_norm():
