@@ -188,38 +188,36 @@ _RUNNERS = {
 
 
 _BLOCK_ROWS = 512  # rows encoded at a time: the writer holds one block's cells, however long the table
-# a CSV cell's text by its column's dtype kind; tolist() gives builtin floats and ints, so repr is float.__repr__
-# and int.__repr__ without their slot-wrapper call, and json.dumps writes the same text
+# a cell's text by its column's dtype kind, in CSV and (str cells quoted) in JSON; tolist() gives builtin floats and
+# ints, so repr is float.__repr__ and int.__repr__ without their slot-wrapper call: json.dumps writes the same text
 _CELL_TEXT = {"f": repr, "i": repr, "U": str}
 
 
-def _blocks(columns, cell_text: bool):
-    """Each block of rows as an iterator of cell tuples; the cells of a column given twice are made once."""
+def _blocks(columns, text):
+    """Each block of rows as an iterator of ``text[dtype kind]`` cell tuples; a column given twice is encoded once."""
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
         cells = {}
         for col in columns:
             if id(col) not in cells:  # not setdefault, which would make the default for every column
-                values = col[lo:lo + _BLOCK_ROWS].tolist()
-                cells[id(col)] = list(map(_CELL_TEXT[col.dtype.kind], values)) if cell_text else values
+                cells[id(col)] = list(map(text[col.dtype.kind], col[lo:lo + _BLOCK_ROWS].tolist()))
         yield zip(*(cells[id(col)] for col in columns))
 
 
 def _csv_text(names, columns):
     yield ",".join(names) + "\n"
-    for rows in _blocks(columns, True):
+    for rows in _blocks(columns, _CELL_TEXT):
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def _json_text(names, columns):
     import json  # only a JSON table needs it: a CSV run does not load it
 
-    # {"columns":[...],"rows":[[...],...]} with the separators of json.dumps(..., separators=(",", ":"))
+    # {"columns":[...],"rows":[[...],...]} with the separators of json.dumps(..., separators=(",", ":")); a str
+    # cell is quoted and escaped as json.dumps quotes it under ensure_ascii, and write_table has refused NaN and inf
     yield '{"columns":' + json.dumps(list(names), separators=(",", ":")) + ',"rows":['
-    for i, rows in enumerate(_blocks(columns, False)):
-        # RFC 8259 has no NaN or Infinity: write_table has refused them, allow_nan=False stays as a guard;
-        # a row is a tuple of scalars, so no container can hold itself and the circular check is skipped
-        yield ("," if i else "") + json.dumps(list(rows), separators=(",", ":"), allow_nan=False,
-                                              check_circular=False)[1:-1]
+    text = {**_CELL_TEXT, "U": json.encoder.encode_basestring_ascii}
+    for i, rows in enumerate(_blocks(columns, text)):
+        yield ("," if i else "") + "[" + "],[".join(map(",".join, rows)) + "]"
     yield "]}\n"
 
 

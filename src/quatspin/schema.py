@@ -13,6 +13,7 @@ from collections import namedtuple
 FORMATS = ("csv", "json")
 EM_CASES = ("plane-wave", "point-charge", "constant")
 OUT_DIR_ENV = "QUATSPIN_OUT_DIR"
+MAX_STEPS = 1_000_000  # spin.integrate_spin's step cap, which a helical document must keep: about 100 MB, a few seconds
 
 
 class ConfigError(ValueError):
@@ -81,7 +82,7 @@ _COMMON = (
            expect="one of " + ", ".join(FORMATS)),
 )
 
-# the size bounds keep every table at about 10^6 rows at most, as spin.MAX_STEPS does for helical
+# the size bounds keep every table at about 10^6 rows at most, as MAX_STEPS does for helical
 _SCHEMAS = {
     "pms": (
         _Field("xi1", float, check=math.isfinite, expect="finite"),
@@ -202,6 +203,13 @@ def validate_scenario(raw: dict) -> Scenario:
         if angle > 0.5 * (1.0 + 1e-12):
             errors.append(f"key 'dt': the first step turns the spin by {angle!r} rad, more than 0.5 "
                           "(min(dt, t_max) * hypot(gamma, omega - delta))")
+    if kind == "helical" and "t_max" in values:
+        # integrate_spin's InvalidTimeSpan test, term for term
+        if "dt" in values and (steps := values["t_max"] / values["dt"] - 1e-12) > MAX_STEPS:
+            errors.append(f"keys 't_max' and 'dt': t_max / dt = {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
+        # helical_field's drive phase omega * t at the last sample time, t_max
+        if "omega" in values and not math.isfinite(values["omega"] * values["t_max"]):
+            errors.append("keys 'omega' and 't_max': the drive phase omega * t_max overflows")
 
     if errors:
         raise ConfigError(errors)

@@ -29,8 +29,8 @@ from .quaternion import (
     quat_to_rotation,
     rotate_batch,
 )
+from .schema import MAX_STEPS  # integrate_spin's step cap, which the schema's helical check states once
 
-MAX_STEPS = 1_000_000  # integrate_spin's step cap: about 100 MB and a few seconds
 _BLOCK = 1024  # steps sampled and built per batch, which bounds the temporaries near 1 MB
 
 
@@ -228,9 +228,9 @@ def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: flo
     fields = np.asarray(sample(sample_times), dtype=float)
     if fields.shape != (sample_times.size, 3):
         raise ValueError(f"field_fn must return a 3-vector, got shape {fields.shape[1:]}")
-    non_finite = ~np.isfinite(fields).all(axis=1)
-    if non_finite.any():
-        raise ValueError(f"field_fn returned a non-finite field at t = {float(sample_times[np.argmax(non_finite)])!r}")
+    if not np.isfinite(fields).all():  # the per-sample mask is built only to name the first bad sample
+        i = int(np.argmax(~np.isfinite(fields).all(axis=1)))
+        raise ValueError(f"field_fn returned a non-finite field at t = {float(sample_times[i])!r}")
     fields = fields.reshape(-1, 3, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # |B|^2, h^3 or h^4 may overflow: refused by name below
         # a stacked matmul runs the dot kernel of np.linalg.norm, so each angle is bit-exact
@@ -249,9 +249,8 @@ def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: flo
         m = np.stack([h1 * (p1 + 4.0 * p2 + p3) + h2 * (p21 + p22 + p32) + h3 * (p221 + p322) + h4 * p3221
                       for p1, p2, p3, p21, p22, p32, p221, p322, p3221
                       in zip(a1, a2, a3, a21, a22, a32, a221, _mul4(a3, a22), _mul4(a3, a221))], axis=1)
-    overflow = ~np.isfinite(m).all(axis=1)
-    if overflow.any():
-        i = int(np.argmax(overflow))
+    if not np.isfinite(m).all():
+        i = int(np.argmax(~np.isfinite(m).all(axis=1)))
         raise StepTooLarge(f"dt = {float(h[i])!r} overflows the RK4 step quaternion at t = {float(starts[i])!r}")
     m[:, 0] += 1.0
     return m

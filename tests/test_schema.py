@@ -1,21 +1,35 @@
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quatspin
+from quatspin import spin
+from quatspin.cli import main
 from quatspin.scenarios import run_scenario
-from quatspin.schema import ConfigError, validate_scenario
-from quatspin.spin import IDENTITY, HelicalParams, StepTooLarge, helical_field, integrate_spin, resonance_curve
+from quatspin.schema import MAX_STEPS, ConfigError, validate_scenario
+from quatspin.spin import (
+    IDENTITY,
+    HelicalParams,
+    InvalidTimeSpan,
+    StepTooLarge,
+    helical_field,
+    integrate_spin,
+    resonance_curve,
+)
 
 HELICAL = {"kind": "helical", "gamma": 0.04, "delta": 0.0, "omega": 0.02, "t_max": 10.0, "dt": 0.1}
 RATE_ERROR = "key 'dt': the first step turns the spin by"
+PHASE_ERROR = "keys 'omega' and 't_max': the drive phase omega * t_max overflows"
 
 
 def errors_of(doc) -> list[str]:
@@ -41,6 +55,80 @@ def test_helical_first_step_angle_is_a_schema_error():
     assert len(errors) == 1 and errors[0].startswith(RATE_ERROR + " 0.82462")
     # a span shorter than dt is one step of t_max
     validate_scenario({**HELICAL, "gamma": 0.5, "delta": 0.0, "omega": 2.0, "dt": 0.4, "t_max": 0.2})
+
+
+def step_cap_error(steps: float) -> str:
+    return f"keys 't_max' and 'dt': t_max / dt = {steps!r} steps, more than MAX_STEPS = 1000000"
+
+
+def test_helical_step_cap_is_a_schema_error_listed_with_the_others():
+    assert spin.MAX_STEPS is MAX_STEPS == 1_000_000  # stated once, in the schema
+    validate_scenario({**HELICAL, "t_max": 1e6, "dt": 1.0})  # exactly MAX_STEPS steps
+    for t_max in (math.nextafter(1e6, math.inf), 2e6, 1e300):
+        errors = errors_of({**HELICAL, "t_max": t_max, "dt": 1.0, "sign": 2})
+        assert errors == ["key 'sign': value 2 must be 1 or -1", step_cap_error(t_max)]
+    assert errors_of({**HELICAL, "t_max": 1e300, "dt": 1e-300}) == [step_cap_error(math.inf)]
+
+
+class Stepped(Exception):
+    """Raised in place of the first block of steps: integrate_spin has accepted the span."""
+
+
+# the schema refuses a span exactly when integrate_spin does; the library side stops before its first step
+@settings(max_examples=200, deadline=None)
+@example(dt=1.0, steps=1e6).via("the cap itself")
+@example(dt=1.0, steps=math.nextafter(1e6, math.inf)).via("one float beyond the cap")
+@example(dt=0.1, steps=1e6).via("0.1 * 1e6 / 0.1 rounds")
+@given(dt=st.floats(1e-6, 1e3) | st.sampled_from([1e-300, 5e-324, 1.0 / 3.0]),
+       steps=st.floats(MAX_STEPS - 2.0, MAX_STEPS + 2.0) | st.floats(0.5, 2e6))
+def test_helical_step_cap_matches_integrate_spin(dt, steps):
+    t_max = dt * steps
+    assume(t_max > 0.0)
+    # a field too weak for the first-step check to refuse any of these steps, and no drive phase
+    doc = {"kind": "helical", "gamma": 1e-6, "delta": 0.0, "omega": 0.0, "t_max": t_max, "dt": dt}
+    with mock.patch.object(spin, "_step_quaternions", side_effect=Stepped):
+        with pytest.raises((InvalidTimeSpan, Stepped)) as library:
+            integrate_spin(helical_field(HelicalParams(1e-6, 0.0, 0.0)), IDENTITY, (0.0, t_max), dt)
+    try:
+        validate_scenario(doc)
+    except ConfigError as err:
+        assert err.errors == [step_cap_error(t_max / dt - 1e-12)]
+        assert library.type is InvalidTimeSpan
+        return
+    assert library.type is Stepped
+
+
+# omega >= 1e250 keeps t_max small enough for h^4 in the RK4 step quaternion to stay finite
+@pytest.mark.parametrize("omega", [1e308, -1e308, 3e300, 1e250])
+def test_helical_drive_phase_overflow_is_a_schema_error_on_both_sides(tmp_path, omega):
+    # the largest t_max whose phase omega * t_max is finite, and the float after it
+    t_max = 1.7976931348623157e308 / abs(omega)
+    while not math.isfinite(omega * t_max):
+        t_max = math.nextafter(t_max, 0.0)
+    while math.isfinite(omega * math.nextafter(t_max, math.inf)):
+        t_max = math.nextafter(t_max, math.inf)
+    beyond = math.nextafter(t_max, math.inf)
+    # two steps whose last sample time is t_max itself; delta = omega leaves a weak field with no axial part
+    dt = t_max / 2.0
+    doc = {"kind": "helical", "gamma": 0.25 / dt, "delta": omega, "omega": omega, "t_max": t_max, "dt": dt}
+    table = run_scenario(validate_scenario(doc), out_dir=str(tmp_path)).outputs[0]
+    assert len(Path(table).read_text(encoding="utf-8").splitlines()) == 4
+    assert errors_of({**doc, "t_max": beyond, "dt": beyond / 2.0, "sign": 2}) == [
+        "key 'sign': value 2 must be 1 or -1", PHASE_ERROR]
+    field = helical_field(HelicalParams(doc["gamma"], omega, omega))
+    with pytest.raises(ValueError, match=f"^field_fn returned a non-finite field at t = {re.escape(repr(beyond))}$"):
+        integrate_spin(field, IDENTITY, (0.0, beyond), beyond / 2.0)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"t_max": 2000000.0, "dt": 1.0}, step_cap_error(2000000.0)),
+    ({"omega": 1e308, "delta": 1e308, "t_max": 100.0, "dt": 10.0}, PHASE_ERROR),
+])
+def test_validate_refuses_helical_documents_that_run_refuses(tmp_path, capsys, change, error):
+    scn = tmp_path / "h.scn"
+    scn.write_text("".join(f"{key} = {value}\n" for key, value in {**HELICAL, **change}.items()), encoding="utf-8")
+    assert main(["validate", str(scn)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("key", ["gamma", "delta", "omega", "t_max", "dt"])
@@ -192,6 +280,10 @@ NUMPY_FREE = {
                            b"dt = 0.1\n", 2),
     "helical-step-too-large": (["run"], b"kind = helical\ngamma = 0.5\ndelta = 0.0\nomega = 2.0\nt_max = 10.0\n"
                                b"dt = 0.4\n", 2),
+    "helical-step-cap": (["run"], b"kind = helical\ngamma = 0.04\ndelta = 0.0\nomega = 0.02\nt_max = 2000000.0\n"
+                         b"dt = 1.0\n", 2),
+    "helical-phase-overflow": (["run"], b"kind = helical\ngamma = 0.04\ndelta = 1e308\nomega = 1e308\n"
+                               b"t_max = 100\ndt = 10\n", 2),
     "missing-file": (["run"], None, 3),
 }
 

@@ -495,6 +495,9 @@ def test_overflowing_rk4_step_is_step_too_large():
     # a zero field too: h^4 = inf times a zero product is NaN
     with pytest.raises(StepTooLarge, match=r"^dt = 1e\+150 overflows the RK4 step quaternion at t = 5\.0$"):
         integrate_spin(lambda t: (0.0, 0.0, 0.0), IDENTITY, (5.0, 3e150), 1e150)
+    # a huge field at one midpoint only: the angle check reads the step starts, and the fourth step overflows
+    with pytest.raises(StepTooLarge, match=r"^dt = 1\.0 overflows the RK4 step quaternion at t = 3\.0$"):
+        integrate_spin(lambda t: (1e200 if t == 3.5 else 0.0, 0.0, 0.0), IDENTITY, (0.0, 6.0), 1.0)
 
 
 def test_integrate_spin_matches_helical_closed_form():

@@ -21,7 +21,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # each kind's document at the fraction f of its size bound: n_blocks <= 499999, 10^6 helical steps
-# (spin.MAX_STEPS; dt = 1/8 keeps t_max / dt exact), n_points <= 10^6, n_levels <= 12, n_cases <= 250000
+# (MAX_STEPS; dt = 1/8 keeps t_max / dt exact), n_points <= 10^6, n_levels <= 12, n_cases <= 250000
 DOCUMENTS = {
     "pms": lambda f: f"kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = {round(f * 499_999)}\n",
     "helical": lambda f: "kind = helical\ngamma = 0.04\nomega = 0.02\ndelta = 0.0\ndt = 0.125\n"
