@@ -24,6 +24,8 @@ import numpy as np
 # Unit-norm tolerance up to which user-supplied axes, states and polarizations are accepted.
 UNIT_TOL_INPUT = 1e-9
 
+_BLOCK = 1024  # rows rotate_batch reads out at a time, which bounds its temporaries near 1 MB
+
 
 class NonUnitAxis(ValueError):
     """Axis vector is not unit length within tolerance."""
@@ -226,15 +228,24 @@ def rotate_batch(q, p) -> np.ndarray:
 
     Raises NonUnitQuaternion if any |q|^2 deviates from 1 by more than 1e-9.
     """
-    q = np.asarray(q, dtype=float)
-    nsq = _unit_norm_sq(q)
-    u0, ux, uy, uz = np.moveaxis(q / np.sqrt(nsq)[..., None], -1, 0)
-    xx, yy, zz = ux * ux, uy * uy, uz * uz
-    xy, yz, zx = ux * uy, uy * uz, uz * ux
-    rows = (
-        (1.0 - 2.0 * (yy + zz), 2.0 * (xy + u0 * uz), 2.0 * (zx - u0 * uy)),
-        (2.0 * (xy - u0 * uz), 1.0 - 2.0 * (zz + xx), 2.0 * (yz + u0 * ux)),
-        (2.0 * (zx + u0 * uy), 2.0 * (yz - u0 * ux), 1.0 - 2.0 * (xx + yy)),
-    )
-    p = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
-    return np.stack([r0 * p[0] + r1 * p[1] + r2 * p[2] for r0, r1, r2 in rows], axis=-1)
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    lead = np.broadcast_shapes(q.shape[:-1], p.shape[:-1])
+    out = np.empty(lead + (3,))
+    # one block of rows at a time into out, so that the temporaries stay one block long however many rows there are
+    qs, ps = (np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1]) for a in (q, p))
+    outs = out.reshape(-1, 3)
+    for lo in range(0, len(qs), _BLOCK):
+        qb = qs[lo : lo + _BLOCK]
+        nsq = _unit_norm_sq(qb)  # the first bad row of the first bad block is the first bad row
+        u0, ux, uy, uz = (qb / np.sqrt(nsq)[:, None]).T
+        xx, yy, zz = ux * ux, uy * uy, uz * uz
+        xy, yz, zx = ux * uy, uy * uz, uz * ux
+        rows = (
+            (1.0 - 2.0 * (yy + zz), 2.0 * (xy + u0 * uz), 2.0 * (zx - u0 * uy)),
+            (2.0 * (xy - u0 * uz), 1.0 - 2.0 * (zz + xx), 2.0 * (yz + u0 * ux)),
+            (2.0 * (zx + u0 * uy), 2.0 * (yz - u0 * ux), 1.0 - 2.0 * (xx + yy)),
+        )
+        pb = ps[lo : lo + _BLOCK].T
+        for k, (r0, r1, r2) in enumerate(rows):
+            outs[lo : lo + _BLOCK, k] = r0 * pb[0] + r1 * pb[1] + r2 * pb[2]
+    return out

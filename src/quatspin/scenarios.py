@@ -17,7 +17,7 @@ import numpy as np
 # every kind needs quaternion; each runner imports the other modules it calls, so a run loads only its kind's
 from .quaternion import rotate_batch
 # load_scenario is bound here too, so that callers load and run through this one module
-from .schema import Scenario, load_scenario  # noqa: F401
+from .schema import FORMATS, Scenario, load_scenario  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,14 @@ def _run_pms(scn: Scenario):
     cfg = spin.PmsConfig(n_blocks=p["n_blocks"], xi1=p["xi1"], xi2=p["xi2"], theta=p["theta"])
     p0 = np.array([0.0, 0.0, 1.0])
     traj = spin.pms_propagate(cfg, p0)
-    base, mid = traj.polar[:, 0], traj.polar[:, 1]
+    mid = traj.polar[:, 1]
     # station n gives the arrow-base row (s_n, P_n, P_n_mid), then the post-bar row (mid state, P_n_mid twice)
-    table = np.stack([np.concatenate([traj.states, base, mid], axis=1),
-                      np.concatenate([traj.mid_states, mid, mid], axis=1)], axis=1).reshape(-1, 10)
+    table = np.empty((2 * len(traj), 10))
+    table[0::2, :4], table[0::2, 4:7], table[0::2, 7:] = traj.states, traj.polar[:, 0], mid
+    table[1::2, :4], table[1::2, 4:7], table[1::2, 7:] = traj.mid_states, mid, mid
+    del traj, mid  # the chain and its readout are freed before the step columns are made
     step = np.arange(len(table))
-    summary = {"closure_distance": float(np.linalg.norm(traj.polar[-1, 0] - p0)),
+    summary = {"closure_distance": float(np.linalg.norm(table[-2, 4:7] - p0)),  # P_n of the last base row
                "resonant_geometry": float(cfg.is_resonant(1e-9))}
     # step / 2 is n on a base row and n + 0.5 on a post-bar row, exactly
     return _TRAJ_COLUMNS, [step, step / 2.0, *table.T], summary
@@ -137,15 +139,18 @@ def _run_lorentz_check(scn: Scenario):
     p = scn.params
     rng = np.random.default_rng(scn.seed)
     n, r = p["n_cases"], p["rapidity_max"]
-    fields, counts, axes, boosts, angles = np.empty((n, 6)), np.empty(n, dtype=int), [], [], []
+    fields, counts = np.empty((n, 6)), np.empty(n, dtype=int)
+    m = n * p["max_generators"]  # room for every case at its most generators: generator k of the draw is row k
+    axes, boosts, angles, k = np.empty((m, 3)), np.empty(m, dtype=bool), np.empty(m), 0
     for i in range(n):  # draws only, in the order that fixes the table bytes
         fields[i] = rng.normal(size=6)  # e, then b: the same stream as two 3-vector draws
         counts[i] = rng.integers(1, p["max_generators"] + 1)
         for _ in range(counts[i]):
-            axes.append(rng.normal(size=3))
-            boosts.append(not rng.random() < 0.5)
-            angles.append(rng.uniform(-r, r) if boosts[-1] else rng.uniform(0.0, 2.0 * math.pi))
-    axes, boosts, angles = np.array(axes), np.array(boosts), np.array(angles)
+            axes[k] = rng.normal(size=3)
+            boosts[k] = not rng.random() < 0.5
+            angles[k] = rng.uniform(-r, r) if boosts[k] else rng.uniform(0.0, 2.0 * math.pi)
+            k += 1
+    axes, boosts, angles = axes[:k], boosts[:k], angles[:k]
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     sample = emfield.EmFieldSample(e=fields[:, :3], b=fields[:, 3:])
     i1, i2 = emfield.lorentz_invariants(sample)
@@ -224,13 +229,19 @@ def _json_text(names, columns):
 def write_table(path: str, names, columns, fmt: str):
     """Write the table as CSV (comma, LF, UTF-8, header row) or JSON, atomically.
 
-    ``columns`` are equal-length 1-D numpy arrays of float64, int64 or str, one per name.  A column with a
-    NaN or inf raises ValueError naming the first such column, before anything is written.  A column that is
-    given twice (the same array object) is encoded once.
+    ``fmt`` is one of ``schema.FORMATS``.  ``columns`` are equal-length 1-D numpy arrays of float64, int64 or
+    str, one per name; any other column raises TypeError naming the first such column.  A column with a NaN or
+    inf raises ValueError naming the first such column.  Each is raised before anything is written.  A column
+    that is given twice (the same array object) is encoded once.
     """
+    if fmt not in FORMATS:
+        raise ValueError(f"format {fmt!r} is not one of {', '.join(FORMATS)}")
     if not columns or len(names) != len(columns):
         raise ValueError(f"a table needs one name per column and at least one column, got {len(names)} names "
                          f"for {len(columns)} columns")
+    for name, col in zip(names, columns):
+        if not isinstance(col, np.ndarray) or col.ndim != 1:
+            raise TypeError(f"column {name!r} is not a 1-D numpy array")
     if len(set(map(len, columns))) > 1:
         raise ValueError("the columns differ in length")
     for name, col in zip(names, columns):

@@ -269,11 +269,48 @@ def test_rotate_batch_equals_quat_to_rotation_row_by_row(q, p):
         assert np.allclose(got[i], quat_to_rotation(qi) @ p, rtol=0.0, atol=tol)
 
 
+def one_shot_readout(q, p):
+    """R(q) p for every row in one expression over all rows, the formula that rotate_batch applies block by block."""
+    q = np.asarray(q, dtype=float)
+    q0, qx, qy, qz = np.moveaxis(q, -1, 0)
+    nsq = q0 * q0 + qx * qx + qy * qy + qz * qz
+    u0, ux, uy, uz = np.moveaxis(q / np.sqrt(nsq)[..., None], -1, 0)
+    xx, yy, zz = ux * ux, uy * uy, uz * uz
+    xy, yz, zx = ux * uy, uy * uz, uz * ux
+    rows = (
+        (1.0 - 2.0 * (yy + zz), 2.0 * (xy + u0 * uz), 2.0 * (zx - u0 * uy)),
+        (2.0 * (xy - u0 * uz), 1.0 - 2.0 * (zz + xx), 2.0 * (yz + u0 * ux)),
+        (2.0 * (zx + u0 * uy), 2.0 * (yz - u0 * ux), 1.0 - 2.0 * (xx + yy)),
+    )
+    p = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    return np.stack([r0 * p[0] + r1 * p[1] + r2 * p[2] for r0, r1, r2 in rows], axis=-1)
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["n-4", "n-2-4"])
+def test_rotate_batch_equals_the_one_shot_formula_across_block_seams(rows, lead):
+    rng = np.random.default_rng(rows)
+    shape = (rows, *lead)
+    q = rng.normal(size=(*shape, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    # one polarization for every row, one per row, and one broadcast along the leading axis
+    for p in (rng.normal(size=3), rng.normal(size=(*shape, 3)), rng.normal(size=(1, *lead, 3))):
+        got, expected = rotate_batch(q, p), one_shot_readout(q, p)
+        assert got.shape == expected.shape == (*shape, 3)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_rotate_batch_rejects_non_unit_rows():
     q = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
     with pytest.raises(NonUnitQuaternion, match="2.0"):
         rotate_batch(q, [0.0, 0.0, 1.0])
     with pytest.raises(NonUnitQuaternion):
         rotate_batch(q[2], [0.0, 0.0, 1.0])
+    # the first bad row in the second block of rows, with later bad rows behind it, as (n, 4) and (n, 2, 4)
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (3000, 1))
+    q[1100, 0], q[1300, 0], q[2500, 0] = 0.5, np.nan, 2.0
+    for rows in (q, q.reshape(1500, 2, 4)):
+        with pytest.raises(NonUnitQuaternion, match=r"^not unit norm: \|q\|\^2 = 0.25 is not 1 within 1e-09$"):
+            rotate_batch(rows, [0.0, 0.0, 1.0])
     # the 1e-9 input tolerance is kept
     assert rotate_batch([1.0 + 4e-10, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0]).shape == (3,)

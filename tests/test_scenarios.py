@@ -25,6 +25,7 @@ import quatspin
 from quatspin.cli import main
 from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
 from quatspin.lorentz import boost_generator, field_triple, rotation_generator
+from quatspin.quaternion import rotate_batch
 from quatspin import cli, scenarios
 from quatspin.scenarios import run_scenario, write_table
 from quatspin.schema import ConfigError, load_scenario, parse_scenario_text, validate_scenario
@@ -547,6 +548,28 @@ def test_write_table_needs_one_name_per_column_and_a_column(tmp_path, fmt, names
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["CSV", "Json", "xml", "tsv", ""])
+def test_write_table_refuses_a_format_it_does_not_write(tmp_path, fmt):
+    with pytest.raises(ValueError, match=f"^format {re.escape(repr(fmt))} is not one of csv, json$"):
+        write_table(str(tmp_path / "t.out"), ("a",), [np.array([1.0])], fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("columns, bad", [
+    ([np.zeros((2, 2)), np.array([1.0, 2.0])], "a"),  # a 2-D column the length of its neighbour
+    ([np.array([1.0, 2.0]), [1.0, 2.0]], "b"),  # a list
+    ([np.array([1.0]), (1.0,)], "b"),
+    ([np.array([1.0]), np.float64(1.0)], "b"),  # a numpy scalar
+    ([np.array([1.0]), np.array(1.0)], "b"),  # a 0-d array
+    ([[1.0], np.zeros((1, 1))], "a"),  # the first such column is named
+])
+def test_write_table_refuses_a_column_that_is_not_a_1d_array(tmp_path, fmt, columns, bad):
+    with pytest.raises(TypeError, match=f"^column {bad!r} is not a 1-D numpy array$"):
+        write_table(str(tmp_path / f"t.{fmt}"), ("a", "b"), columns, fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_table_holds_one_block_of_cells_however_long_the_table(tmp_path, fmt):
     names = ("a", "b", "c", "d")
@@ -564,6 +587,48 @@ def test_write_table_holds_one_block_of_cells_however_long_the_table(tmp_path, f
     # a writer that holds every row at once peaks about 28 blocks of cells higher on the longer table
     one_block = scenarios._BLOCK_ROWS * len(names) * sys.getsizeof(0.5)
     assert abs(peaks[1] - peaks[0]) < one_block, (peaks, one_block)
+
+
+def readout_call(blocks: int):
+    q = np.random.default_rng(blocks).normal(size=(1024 * blocks, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return lambda: rotate_batch(q, [0.0, 0.0, 1.0])
+
+
+def runner_call(kind: str, **params):
+    scn = validate_scenario({"kind": kind, "seed": 1, **params})
+    return lambda: scenarios._RUNNERS[kind](scn)
+
+
+# each call at 1024 * blocks rows (a quarter as many lorentz-check cases, four rows each), and the most that its
+# peak may grow per byte of growth in what it returns; a readout of all rows at once makes the peaks of
+# rotate_batch, helical and pms grow 8.7, 3.4 and 2.5 times as much
+RETURNED_MEMORY = {
+    "rotate_batch": (readout_call, 1.5),
+    "helical": (lambda blocks: runner_call("helical", gamma=0.04, omega=0.02, delta=0.0, dt=0.125,
+                                           t_max=128.0 * blocks), 1.5),
+    "pms": (lambda blocks: runner_call("pms", xi1=0.3, xi2=0.01, theta=0.15, n_blocks=1024 * blocks), 1.5),
+    # every case is transformed at once, and those temporaries are left: the peak grows about 2.6 times as much
+    "lorentz-check": (lambda blocks: runner_call("lorentz-check", n_cases=256 * blocks), 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETURNED_MEMORY))
+def test_peak_memory_grows_as_what_the_call_returns(name):
+    make, bound = RETURNED_MEMORY[name]
+    make(1)()  # one-time allocations first
+    traced = []
+    for blocks in (4, 32):
+        call = make(blocks)  # the inputs are made before the trace starts
+        tracemalloc.start()
+        try:
+            returned = call()
+            traced.append(tracemalloc.get_traced_memory())  # (what the result holds, the peak)
+        finally:
+            tracemalloc.stop()
+        del returned
+    (kept_short, peak_short), (kept_long, peak_long) = traced
+    assert peak_long - peak_short <= bound * (kept_long - kept_short), (traced, bound)
 
 
 # ---------------------------------------------------------------------------

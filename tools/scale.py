@@ -1,7 +1,8 @@
 """Wall time and peak memory of one ``quatspin run`` per kind, at a fraction of the schema's size bounds.
 
-Each document runs in a fresh ``python -m quatspin.cli run`` process on the given ``src`` tree.  For each
-one the tool prints the wall time, the child's peak resident set (``ru_maxrss``, from ``os.wait4``) and the
+Each document runs in a fresh ``python -m quatspin.cli run`` process on the given ``src`` tree.  First the
+tool prints the peak RSS of a bare ``python -c "import numpy"``, the floor under every run; then, for each
+document, it prints the wall time, the child's peak resident set (``ru_maxrss``, from ``os.wait4``) and the
 size and sha256 of the table it wrote, so that two source trees can be compared table for table.  It uses
 the standard library only and is not part of the test suite.
 
@@ -33,6 +34,21 @@ DOCUMENTS = {
 }
 
 
+def run_child(args: list, src: str) -> tuple[float, float]:
+    """Run ``python args`` on the src tree to its end; its wall time and peak RSS in MB.  A failure ends the tool."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait for it again
+        if proc.returncode != 0:
+            err.seek(0)
+            raise SystemExit(f"exit {proc.returncode}: {err.read().decode(errors='replace').strip()}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
 def run_one(src: str, text: str, fmt: str, work: str) -> dict:
     """Run one document in a fresh process; its wall time, peak RSS and table digest."""
     scn = os.path.join(work, "doc.scn")
@@ -40,24 +56,14 @@ def run_one(src: str, text: str, fmt: str, work: str) -> dict:
     table = os.path.join(out, f"table.{fmt}")
     with open(scn, "w", encoding="utf-8") as fh:
         fh.write(text + f"format = {fmt}\noutput = table.{fmt}\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    with tempfile.TemporaryFile() as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "quatspin.cli", "run", scn, "--out", out],
-                                env=env, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait for it again
-        if proc.returncode != 0:
-            err.seek(0)
-            raise SystemExit(f"exit {proc.returncode}: {err.read().decode(errors='replace').strip()}")
+    wall, peak_rss_mb = run_child(["-m", "quatspin.cli", "run", scn, "--out", out], src)
     digest = hashlib.sha256()
     with open(table, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     size = os.path.getsize(table)
     os.remove(table)
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0, "bytes": size, "sha256": digest.hexdigest()}
+    return {"wall_s": wall, "peak_rss_mb": peak_rss_mb, "bytes": size, "sha256": digest.hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -67,6 +73,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not 0.0 < args.fraction <= 1.0:
         ap.error("--fraction must be in (0, 1]")
+    print(f"floor: peak_rss_mb {run_child(['-c', 'import numpy'], os.path.abspath(args.src))[1]:.1f} "
+          "for python -c 'import numpy'")
     print(f"{'kind':<16}{'format':<8}{'wall_s':>9}{'peak_rss_mb':>13}{'bytes':>12}  sha256")
     with tempfile.TemporaryDirectory() as work:
         for kind, document in DOCUMENTS.items():
