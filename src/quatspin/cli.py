@@ -1,7 +1,7 @@
 """Command-line front end: run scenario files, validate them, list kinds.
 
-Exit codes: 0 success, 2 configuration error (malformed, non-UTF-8 or
-invalid scenario files, or parameters the library rejects), 3 I/O error,
+Exit codes: 0 success, 2 configuration error (malformed, non-UTF-8, oversized
+or invalid scenario files, or parameters the library rejects), 3 I/O error,
 including stdout or stderr that cannot be written.
 """
 

@@ -135,20 +135,28 @@ def _run_em_check(scn: Scenario):
 
 
 def _run_lorentz_check(scn: Scenario):
+    import random
+
     from . import emfield, lorentz
     p = scn.params
-    rng = np.random.default_rng(scn.seed)
-    n, r = p["n_cases"], p["rapidity_max"]
+    # Python documents the random() stream of a seed as reproducible across versions, and no other method's: the
+    # draws use random() with + - * /, int and comparisons alone, so no libm call and no numpy Generator fixes a case
+    rnd = random.Random(scn.seed).random
+    n, n_gen, r = p["n_cases"], p["max_generators"], p["rapidity_max"]
     fields, counts = np.empty((n, 6)), np.empty(n, dtype=int)
-    m = n * p["max_generators"]  # room for every case at its most generators: generator k of the draw is row k
+    m = n * n_gen  # room for every case at its most generators: generator k of the draw is row k
     axes, boosts, angles, k = np.empty((m, 3)), np.empty(m, dtype=bool), np.empty(m), 0
     for i in range(n):  # draws only, in the order that fixes the table bytes
-        fields[i] = rng.normal(size=6)  # e, then b: the same stream as two 3-vector draws
-        counts[i] = rng.integers(1, p["max_generators"] + 1)
-        for _ in range(counts[i]):
-            axes[k] = rng.normal(size=3)
-            boosts[k] = not rng.random() < 0.5
-            angles[k] = rng.uniform(-r, r) if boosts[k] else rng.uniform(0.0, 2.0 * math.pi)
+        fields[i] = [2.0 * rnd() - 1.0 for _ in range(6)]  # e, then b: each component uniform in [-1, 1)
+        counts[i] = count = 1 + int(rnd() * n_gen)
+        for _ in range(count):
+            while True:  # an isotropic axis: a point of the unit ball, from the cube by rejection (Marsaglia 1972)
+                x, y, z = 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0
+                if 1e-12 < x * x + y * y + z * z < 1.0:  # the zero vector, which has no direction, is refused too
+                    break
+            axes[k] = x, y, z
+            boosts[k] = boost = rnd() < 0.5
+            angles[k] = (2.0 * rnd() - 1.0) * r if boost else 2.0 * math.pi * rnd()  # [-r, r) or [0, 2 pi)
             k += 1
     axes, boosts, angles = axes[:k], boosts[:k], angles[:k]
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)

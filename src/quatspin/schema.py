@@ -13,6 +13,7 @@ from collections import namedtuple
 FORMATS = ("csv", "json")
 EM_CASES = ("plane-wave", "point-charge", "constant")
 OUT_DIR_ENV = "QUATSPIN_OUT_DIR"
+MAX_SCENARIO_CHARS = 1 << 20  # a scenario is a few hundred characters: load_scenario refuses a longer file
 MAX_STEPS = 1_000_000  # spin.integrate_spin's step cap, which a helical document must keep: about 100 MB, a few seconds
 
 
@@ -222,4 +223,8 @@ def validate_scenario(raw: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
-        return validate_scenario(parse_scenario_text(fh.read()))
+        text = fh.read(MAX_SCENARIO_CHARS + 1)  # no further: an endless file, such as /dev/zero, ends here too
+    if len(text) > MAX_SCENARIO_CHARS:
+        raise ConfigError([f"the scenario file holds more than MAX_SCENARIO_CHARS = {MAX_SCENARIO_CHARS} "
+                           "characters"])
+    return validate_scenario(parse_scenario_text(text))

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -195,23 +196,40 @@ def test_run_lorentz_check(tmp_path):
 
 
 def reference_lorentz_rows(n_cases, max_generators, rapidity_max, seed):
-    """The lorentz-check runner as a per-case loop: 4x4 matrix conjugation and scalar closed forms."""
-    rng = np.random.default_rng(seed)
+    """The lorentz-check runner as a per-case loop: 4x4 matrix conjugation and scalar closed forms.
+
+    Each case is drawn from random.Random(seed).random() in the documented order: e and b, each component
+    uniform in [-1, 1); the generator count, uniform in 1..max_generators; then per generator an axis
+    uniform in the unit ball (radius above 1e-6), the kind (a boost below 0.5) and the angle, uniform in
+    [-rapidity_max, rapidity_max) for a boost and in [0, 2 pi) for a rotation.
+    """
+    rnd = random.Random(seed).random
+
+    def unit_interval():  # uniform in [-1, 1)
+        return 2.0 * rnd() - 1.0
+
+    def ball_point():  # by rejection from the cube [-1, 1)^3
+        while True:
+            x, y, z = unit_interval(), unit_interval(), unit_interval()
+            if 1e-12 < x * x + y * y + z * z < 1.0:
+                return np.array([x, y, z])
+
     rows = []
     for i in range(n_cases):
-        sample = EmFieldSample(e=rng.normal(size=3), b=rng.normal(size=3))
+        e, b = np.array([unit_interval() for _ in range(3)]), np.array([unit_interval() for _ in range(3)])
+        sample = EmFieldSample(e=e, b=b)
         i1, i2 = lorentz_invariants(sample)
         w0, _ = energy_quadratic(sample)
         tensor, triple = em_tensor(sample), field_triple(sample)
-        for _ in range(int(rng.integers(1, max_generators + 1))):
-            axis = rng.normal(size=3)
+        for _ in range(1 + int(rnd() * max_generators)):
+            axis = ball_point()
             axis /= np.linalg.norm(axis)
-            if rng.random() < 0.5:
-                angle = float(rng.uniform(0.0, 2.0 * math.pi))
-                gen, c, s = rotation_generator(axis, angle), math.cos(angle), math.sin(angle)
-            else:
-                angle = float(rng.uniform(-rapidity_max, rapidity_max))
+            if rnd() < 0.5:
+                angle = unit_interval() * rapidity_max
                 gen, c, s = boost_generator(axis, angle), math.cosh(angle), 1j * math.sinh(angle)
+            else:
+                angle = 2.0 * math.pi * rnd()
+                gen, c, s = rotation_generator(axis, angle), math.cos(angle), math.sin(angle)
             tensor = EmTensor.from_matrix(gen.matrix @ tensor.matrix @ gen.matrix_t)
             triple = triple * c + axis * (axis @ triple) * (1.0 - c) - np.cross(axis, triple) * s
         out = tensor.fields()
@@ -247,6 +265,32 @@ def test_batched_lorentz_runner_matches_the_per_case_loop(tmp_path_factory, n_ca
         assert abs(got - value) <= tol, (case, name, got, value)
     for name in ("i1_rel_err", "i2_rel_err", "closed_vs_conj", "w0_change"):
         assert report.summary[f"max_{name}"] == max(row[2] for row in rows if row[1] == name)
+
+
+def test_lorentz_check_draws_call_random_and_no_other_method(monkeypatch):
+    # only random()'s stream is documented as reproducible; gauss, uniform, randrange and the rest may change
+    log = []
+
+    class RecordingRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)  # seeding reads seed and gauss_next: the log starts after it
+            log.append("made")
+
+        def __getattribute__(self, name):
+            if log and not name.startswith("__"):
+                log.append(name)
+            return super().__getattribute__(name)
+
+        def random(self):
+            log.append("random()")
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", RecordingRandom)
+    scn = validate_scenario({"kind": "lorentz-check", "n_cases": 50, "max_generators": 5, "seed": 3})
+    scenarios._RUNNERS["lorentz-check"](scn)
+    assert log[:2] == ["made", "random"]  # one generator, whose bound random method is read once
+    assert set(log[2:]) == {"random()"}
+    assert log.count("random()") > 50 * 7  # six field components and a count per case, and more per generator
 
 
 @pytest.mark.parametrize("rapidity_max", [9.0, 50.0])
@@ -1109,8 +1153,8 @@ SHIPPED_DIGESTS = {
     ("em_plane_wave.scn", "json"): "7bc00bce94d9591c40212c7133c9720b1d071eeb5735f45fd1b5cba52d385edf",
     ("helical_ring.scn", "csv"): "f2398782ceb3a1cd92df1244f21fe5eb3c661400d4154f35fcf24048882ab15b",
     ("helical_ring.scn", "json"): "a0f7024dd7c6171390650c613ca4bdbe748a0d44a3b5b3bf5db4a7fbf758063b",
-    ("lorentz_sweep.scn", "csv"): "d5ea27e49de23a1ff8afbdd150d85f445ce0d1f1fa3d44fefc7cf8ee3ba1b704",
-    ("lorentz_sweep.scn", "json"): "89eabbdb13a79e13792b9875755175a5b5e896bb3594a24a3184938603526729",
+    ("lorentz_sweep.scn", "csv"): "6dda72e1dd3c0aaff838f068cdd3ac914887a8d8012233b372846248ee22dfd6",
+    ("lorentz_sweep.scn", "json"): "ccd80a95e7f79016f3e254a6c014ebacccce073bd32d161748781f29daa3007b",
     ("pms_detuned.scn", "csv"): "5d41c51290d2a835c5ff66a3dc5ad6146239695b33aa4dfaafd93be2cbb875d0",
     ("pms_detuned.scn", "json"): "86693d7fed25323e37016b6a5ff18c5e78becef7175538b3fc37f7d7ee5b4744",
     ("pms_fine.scn", "csv"): "d20770a151f02470a385735616ec70a980bfd7d120f89d407e3f3211521ad360",
@@ -1154,8 +1198,8 @@ PINNED_DIGESTS = {
     ("em-point-charge", "json"): "b50985fda903dc5012365c5e85bce67292831049432e9d51b1dc01a68b40d41e",
     ("helical-sign-minus", "csv"): "e0f75e10897107e3afa02338080fe9b5592b7f8b914b78c0ad16736a090a11bd",
     ("helical-sign-minus", "json"): "aa9657e161e61947bfd064d549e347523b682771b8ca1ce1bccd353c831e5201",
-    ("lorentz-seed", "csv"): "af41ab763946d9f0c0fbf60551ef64225c83944f02df235b1c20aaeeca1a25c2",
-    ("lorentz-seed", "json"): "793393f10a30219e2617589372a1fca5fcc7b3c4ce3c231df9083820c1a6b7cd",
+    ("lorentz-seed", "csv"): "b1da291ec7d022600427735a3939138d51bc8a5c25f5d325af82322435b06307",
+    ("lorentz-seed", "json"): "ea64b8b2f941b91ae531fd253dac0d89e884e605892c49cf2dd8aa3b462e656c",
     ("pms-no-blocks", "csv"): "404f87a465b6d1170990288d467e63db2f5b900e77355695e1a78b911517f4a9",
     ("pms-no-blocks", "json"): "492b6f5b5a56ce0df87c00d4ca0265ea85d6a1af1582b0debc45e93928713c09",
     ("pms-two-blocks", "csv"): "478393b85b63a2347e13e750a2952820a88da13f37a432eccee1c0bc4d531630",
@@ -1168,8 +1212,8 @@ PINNED_SUMMARIES = {
     "em-constant": {"max_residual": 0.0},
     "em-point-charge": {"max_residual": 0.050438060946400576, "min_order": 1.9939593451450512},
     "helical-sign-minus": {"final_pz": 0.13810773638949725, "max_norm_drift": 4.440892098500626e-16},
-    "lorentz-seed": {"max_closed_vs_conj": 3.3201583447526146e-15, "max_i1_rel_err": 7.00687526692694e-16,
-                     "max_i2_rel_err": 4.400728981097181e-16, "max_w0_change": 2230179287595.1636},
+    "lorentz-seed": {"max_closed_vs_conj": 1.4422967553679087e-14, "max_i1_rel_err": 1.5582241796744386e-15,
+                     "max_i2_rel_err": 1.8935382436550138e-15, "max_w0_change": 263122046515.33173},
     "pms-no-blocks": {"closure_distance": 0.0, "resonant_geometry": 0.0},
     "pms-two-blocks": {"closure_distance": 0.4314701271802637, "resonant_geometry": 0.0},
     "resonance-seams": {"peak_delta": -0.00020010005002502051, "peak_p_down": 0.9999749752211845},

@@ -16,7 +16,7 @@ import quatspin
 from quatspin import spin
 from quatspin.cli import main
 from quatspin.scenarios import run_scenario
-from quatspin.schema import MAX_STEPS, ConfigError, validate_scenario
+from quatspin.schema import MAX_SCENARIO_CHARS, MAX_STEPS, ConfigError, validate_scenario
 from quatspin.spin import (
     IDENTITY,
     HelicalParams,
@@ -254,7 +254,8 @@ def test_resonance_overflow_check_matches_the_library(gamma, delta_min, delta_ma
 # the command line imports numpy, and dataclasses with the inspect module it pulls in, only to run a valid scenario,
 # and a run imports only its kind's part of the library
 
-HEAVY_IMPORTS = ("dataclasses", "inspect", "json", "numpy", "quatspin.emfield", "quatspin.lorentz", "quatspin.spin")
+HEAVY_IMPORTS = ("dataclasses", "inspect", "json", "numpy", "numpy.random", "quatspin.emfield", "quatspin.lorentz",
+                 "quatspin.spin")
 # the process ends in os._exit, which runs no atexit hook: the probe reads sys.modules as that call is made
 PROBE = f"""\
 import os, runpy, sys
@@ -273,9 +274,12 @@ def run_probe(argv):
     return subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env)
 
 
+PMS_DOCUMENT = b"kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = 21\n"
 NUMPY_FREE = {
     "list-kinds": (["list-kinds"], None, 0),
-    "validate": (["validate"], b"kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = 21\n", 0),
+    "validate": (["validate"], PMS_DOCUMENT, 0),
+    # a valid document, refused by its length alone
+    "oversized-file": (["run"], PMS_DOCUMENT + b"#" * (MAX_SCENARIO_CHARS - len(PMS_DOCUMENT) + 1), 2),
     "config-errors": (["run"], b"kind = pms\nxi1 = oops\nn_blocks = 10000000000\nbogus = 1\n", 2),
     "non-utf8-file": (["run"], "kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = 5\n# caf\xe9 \xff\n"
                       .encode("latin-1"), 2),
@@ -308,16 +312,27 @@ def test_cli_front_end_does_not_import_numpy(tmp_path, name):
 
 def test_cli_run_imports_numpy_after_validating(tmp_path):
     scn = tmp_path / "scn.txt"
-    scn.write_bytes(NUMPY_FREE["validate"][1])
+    scn.write_bytes(PMS_DOCUMENT)
     proc = run_probe(["run", str(scn), "--out", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     assert "'numpy'" in proc.stderr.splitlines()[-1]
     assert (tmp_path / "out" / "pms.csv").exists()
 
 
+def test_scenario_file_is_read_up_to_its_length_bound(tmp_path, capsys):
+    # the file is read no further than the bound plus one, so that an endless one such as /dev/zero ends too
+    at_bound = PMS_DOCUMENT.decode() + "#" * (MAX_SCENARIO_CHARS - len(PMS_DOCUMENT))
+    scn = tmp_path / "scn.txt"
+    for text, code in ((at_bound, 0), ("\ufeff" + at_bound, 0), (at_bound + "#", 2)):  # the mark is not counted
+        scn.write_text(text, encoding="utf-8")
+        assert main(["validate", str(scn)]) == code
+    assert capsys.readouterr().err == (f"error: the scenario file holds more than MAX_SCENARIO_CHARS = "
+                                       f"{MAX_SCENARIO_CHARS} characters\n")
+
+
 # each kind's run, and the library modules it loads besides quaternion
 RUN_IMPORTS = {
-    "pms": (NUMPY_FREE["validate"][1], ["quatspin.spin"]),
+    "pms": (PMS_DOCUMENT, ["quatspin.spin"]),
     "helical": (b"kind = helical\ngamma = 0.04\ndelta = 0.0\nomega = 0.02\nt_max = 1.0\ndt = 0.1\n", ["quatspin.spin"]),
     "resonance-curve": (b"kind = resonance-curve\ngamma = 0.04\ndelta_min = -0.4\ndelta_max = 0.4\nn_points = 5\n"
                         b"t_pass = 78.5\n", ["quatspin.spin"]),
