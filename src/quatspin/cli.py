@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error (malformed, non-UTF-8, oversized
 or invalid scenario files, or parameters the library rejects), 3 I/O error,
-including stdout or stderr that cannot be written.
+including stdout or stderr that cannot be written, or a run out of memory.
 """
 
 import argparse
@@ -106,6 +106,8 @@ def main(argv=None) -> int:
         report = run_scenario(scenario, out_dir=args.out or os.environ.get(OUT_DIR_ENV) or ".")
     except OSError as err:
         return _report(sys.stderr, [f"error: {err}"], EXIT_IO)
+    except MemoryError:  # no table lands, as after any other failed run
+        return _report(sys.stderr, ["error: out of memory during the run"], EXIT_IO)
     except ValueError as err:  # a constraint only the library checks, e.g. StepTooLarge
         return _config_error(err)
 
@@ -117,8 +119,8 @@ def entry():
     """Process entry of ``quatspin`` and ``python -m quatspin.cli``: main(), a flush, then os._exit.
 
     os._exit skips the interpreter's teardown (tens of milliseconds once numpy is loaded).  Nothing is left to
-    do at exit: main has renamed its table into place, and quatspin starts no thread and registers no atexit
-    hook.  A tool that writes at exit, such as a profiler or coverage, calls main() instead.
+    do at exit: main has landed its table, and quatspin starts no thread and registers no atexit hook.  A tool
+    that writes at exit, such as a profiler or coverage, calls main() instead.
     """
     try:
         code = main()

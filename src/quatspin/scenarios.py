@@ -7,8 +7,12 @@ scenario and seed reproduce byte-identical files.
 
 from __future__ import annotations
 
+import ctypes  # numpy imports it too, so it costs a run nothing
+import errno
 import math
 import os
+import stat
+import sys
 import time
 from dataclasses import dataclass
 
@@ -241,6 +245,10 @@ def write_table(path: str, names, columns, fmt: str):
     str, one per name; any other column raises TypeError naming the first such column.  A column with a NaN or
     inf raises ValueError naming the first such column.  Each is raised before anything is written.  A column
     that is given twice (the same array object) is encoded once.
+
+    The table is written to a temporary file in path's directory, then landed on path: by an exchange of the
+    two names if path is a regular file already, else by os.replace.  A reader sees the earlier table or the
+    whole new one, and a failed write leaves the earlier table and no temporary file.  Nothing is fsynced.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format {fmt!r} is not one of {', '.join(FORMATS)}")
@@ -258,16 +266,52 @@ def write_table(path: str, names, columns, fmt: str):
         if col.dtype.kind == "f" and not np.isfinite(col).all():
             raise ValueError(f"column {name!r} holds a NaN or infinite value")
     text = _csv_text(names, columns) if fmt == "csv" else _json_text(names, columns)
-    # a fixed-length temporary name renamed onto path: path holds the whole table or what it held before
+    # a fixed-length temporary name, so that any name the file system accepts can be landed on
     tmp = os.path.join(os.path.dirname(path), f".quatspin-{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
             fh.writelines(text)
-        os.replace(tmp, path)
+        if not _landed_by_exchange(tmp, path):
+            os.replace(tmp, path)
+            return
     except BaseException:
         os.remove(tmp)
         raise
+    os.remove(tmp)  # the earlier table, which the exchange left under the temporary name
+
+
+def _landed_by_exchange(tmp: str, path: str) -> bool:
+    """Swap tmp onto path if path is a regular file; False, with nothing moved, leaves the landing to os.replace.
+
+    os.replace onto a table that ext4's auto_da_alloc has written out frees its blocks inside the call, tens of
+    ms; an exchange frees none and writes nothing out, so the earlier table it leaves to be removed has no blocks
+    while it is younger than the writeback window.  A new name, a symlink (not followed) or directory, and a
+    refused exchange get os.replace.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            _exchange(tmp, path)
+            return True
+    except OSError:  # no such name, one that os.replace reports, or a refused exchange (ENOSYS, EINVAL, ...)
+        pass
+    return False
+
+
+def _exchange(a: str, b: str):
+    """Swap the names a and b in one atomic step: renameat2(2) with RENAME_EXCHANGE.  OSError if refused."""
+    if _renameat2 is None:
+        raise OSError(errno.ENOSYS, "no renameat2 in this libc or on this platform", a, None, b)
+    if _renameat2(_AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE):
+        code = ctypes.get_errno()
+        raise OSError(code, os.strerror(code), a, None, b)
+
+
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2  # <fcntl.h>, <linux/fs.h>; the flag is Linux 3.15's
+_renameat2 = getattr(ctypes.CDLL(None, use_errno=True) if sys.platform == "linux" else None, "renameat2", None)
+if _renameat2 is not None:
+    _renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    _renameat2.restype = ctypes.c_int
 
 
 def run_scenario(scn: Scenario, out_dir: str = ".") -> RunReport:

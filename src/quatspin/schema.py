@@ -8,6 +8,7 @@ files and report configuration errors without paying for it.
 """
 
 import math
+import os
 from collections import namedtuple
 
 FORMATS = ("csv", "json")
@@ -221,8 +222,15 @@ def validate_scenario(raw: dict) -> Scenario:
     return Scenario(kind=kind, params=values, seed=seed, output=output, fmt=fmt)
 
 
+def _open_without_waiting(path: str, flags: int) -> int:
+    """os.open without blocking: a FIFO with no writer opens at once, and then reads as empty."""
+    fd = os.open(path, flags | os.O_NONBLOCK)
+    os.set_blocking(fd, True)  # a pipe whose writer is attached is read to its end, as before
+    return fd
+
+
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
+    with open(path, "r", encoding="utf-8-sig", opener=_open_without_waiting) as fh:  # a byte-order mark is skipped
         text = fh.read(MAX_SCENARIO_CHARS + 1)  # no further: an endless file, such as /dev/zero, ends here too
     if len(text) > MAX_SCENARIO_CHARS:
         raise ConfigError([f"the scenario file holds more than MAX_SCENARIO_CHARS = {MAX_SCENARIO_CHARS} "

@@ -545,6 +545,79 @@ def test_write_table_is_atomic(tmp_path):
     assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"a,b\n1,0.5\n"
 
 
+# the landing of a table onto a name that already holds one: an exchange of the two names, else os.replace
+
+
+def test_write_table_overwrite_lands_a_new_file_and_an_open_reader_keeps_the_old_bytes(tmp_path):
+    target = tmp_path / "t.csv"
+    write_table(str(target), ("a",), [np.array([1.0])], "csv")
+    inode = target.stat().st_ino
+    with open(target, "rb") as reader:
+        write_table(str(target), ("a",), [np.array([2.0, 3.0])], "csv")
+        assert os.listdir(tmp_path) == ["t.csv"]
+        assert target.read_bytes() == b"a\n2.0\n3.0\n" and target.stat().st_ino != inode
+        assert reader.read() == b"a\n1.0\n"
+
+
+def exchange_works_in(directory) -> bool:
+    """Whether renameat2 resolves and the file system under directory exchanges two names."""
+    a, b = directory / "probe-a", directory / "probe-b"
+    a.write_bytes(b"a")
+    b.write_bytes(b"b")
+    try:
+        scenarios._exchange(str(a), str(b))
+    except OSError:
+        return False
+    finally:
+        assert b.read_bytes() in (b"a", b"b")  # swapped, or left as it was
+        a.unlink()
+        b.unlink()
+    return True
+
+
+def test_write_table_overwrite_does_not_call_os_replace_where_the_exchange_works(tmp_path, monkeypatch):
+    if not exchange_works_in(tmp_path):
+        pytest.skip("no renameat2 RENAME_EXCHANGE here (not Linux, or a file system without it)")
+    replace, calls = os.replace, []
+    monkeypatch.setattr(os, "replace", lambda *args: calls.append(args) or replace(*args))
+    target = tmp_path / "t.csv"
+    write_table(str(target), ("a",), [np.array([1.0])], "csv")
+    assert len(calls) == 1  # a new name goes through os.replace
+    write_table(str(target), ("a",), [np.array([2.0])], "csv")
+    assert len(calls) == 1
+    assert os.listdir(tmp_path) == ["t.csv"] and target.read_bytes() == b"a\n2.0\n"
+
+
+def test_write_table_lands_through_os_replace_when_the_exchange_is_refused(tmp_path, monkeypatch):
+    columns = [np.arange(3), np.array([0.5, 1.5, 2.5])]
+    write_table(str(tmp_path / "ref.csv"), ("a", "b"), columns, "csv")
+    target = tmp_path / "out" / "t.csv"
+    target.parent.mkdir()
+    target.write_bytes(b"earlier\n")
+    refused = []
+
+    def refuse(a, b):
+        refused.append((a, b))
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(scenarios, "_exchange", refuse)
+    write_table(str(target), ("a", "b"), columns, "csv")
+    assert len(refused) == 1 and refused[0][1] == str(target)
+    assert os.listdir(target.parent) == ["t.csv"]
+    assert target.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_table_replaces_a_symlink_and_leaves_what_it_points_to(tmp_path):
+    pointee = tmp_path / "kept.csv"
+    pointee.write_bytes(b"kept\n")
+    link = tmp_path / "out" / "t.csv"
+    link.parent.mkdir()
+    link.symlink_to(pointee)
+    write_table(str(link), ("a",), [np.array([1.0])], "csv")
+    assert not link.is_symlink() and link.read_bytes() == b"a\n1.0\n"
+    assert os.listdir(link.parent) == ["t.csv"] and pointee.read_bytes() == b"kept\n"
+
+
 def test_write_table_json_names_the_first_non_finite_column(tmp_path):
     rows = [[np.float64(-math.inf), 2, "x", 0.5], [np.float64(0.5), 3, "y", math.inf], [2.0, 4, "z", math.nan]]
     with pytest.raises(ValueError, match="column 'a' holds a NaN or infinite value"):
@@ -897,6 +970,24 @@ def test_cli_unwritable_out_is_an_io_error(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}: ") and captured.err.count("\n") == 1
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before  # no temporary file left behind
+
+
+def exhausted_encoder(names, columns):
+    yield ",".join(names) + "\n"
+    raise MemoryError
+
+
+@pytest.mark.parametrize("where", ["runner", "encoder"])
+def test_cli_run_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, where):
+    if where == "runner":
+        monkeypatch.setitem(scenarios._RUNNERS, "pms", mock.Mock(side_effect=MemoryError))
+    else:  # after the temporary file is open
+        monkeypatch.setattr(scenarios, "_csv_text", exhausted_encoder)
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, RESONANT_PMS), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: out of memory during the run\n"
+    assert (os.listdir(out) if out.exists() else []) == []  # no table, and no .quatspin-*.tmp file
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,8 @@ import quatspin
 from quatspin import spin
 from quatspin.cli import main
 from quatspin.scenarios import run_scenario
-from quatspin.schema import MAX_SCENARIO_CHARS, MAX_STEPS, ConfigError, validate_scenario
+from quatspin.schema import (MAX_SCENARIO_CHARS, MAX_STEPS, ConfigError, load_scenario, parse_scenario_text,
+                             validate_scenario)
 from quatspin.spin import (
     IDENTITY,
     HelicalParams,
@@ -268,10 +271,11 @@ runpy.run_module("quatspin.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def run_probe(argv):
+def run_probe(argv, timeout=None):
     src = os.path.dirname(os.path.dirname(quatspin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 PMS_DOCUMENT = b"kind = pms\nxi1 = 0.3\nxi2 = 0.01\ntheta = 0.15\nn_blocks = 21\n"
@@ -328,6 +332,49 @@ def test_scenario_file_is_read_up_to_its_length_bound(tmp_path, capsys):
         assert main(["validate", str(scn)]) == code
     assert capsys.readouterr().err == (f"error: the scenario file holds more than MAX_SCENARIO_CHARS = "
                                        f"{MAX_SCENARIO_CHARS} characters\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_fifo_with_no_writer_reads_as_empty(tmp_path, command):
+    fifo = tmp_path / "scn.fifo"
+    os.mkfifo(fifo)
+    # a probe still waiting for a writer when the timeout ends is killed by subprocess.run, which then raises
+    proc = run_probe([command, str(fifo), *(["--out", str(tmp_path / "out")] if command == "run" else [])],
+                     timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    *errors, imported = proc.stderr.splitlines()
+    assert errors and all(line.startswith("error: ") for line in errors)
+    assert imported == "imported: []"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd, as a shell's <(...) does")
+def test_a_pipe_whose_writer_is_attached_is_read_to_its_end():
+    read_end, write_end = os.pipe()
+
+    def write_late():  # the reader is open, and waits for the document
+        time.sleep(0.2)
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(PMS_DOCUMENT)
+
+    writer = threading.Thread(target=write_late)
+    writer.start()
+    try:
+        scn = load_scenario(f"/dev/fd/{read_end}")
+    finally:
+        writer.join(timeout=10)
+        os.close(read_end)
+    assert not writer.is_alive()
+    assert scn == validate_scenario(parse_scenario_text(PMS_DOCUMENT.decode()))
+
+
+def test_a_directory_still_exits_3_and_dev_zero_2(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read scenario: [Errno 21] Is a directory")
+    if os.path.exists("/dev/zero"):  # read up to the length bound, then refused by it
+        assert main(["validate", "/dev/zero"]) == 2
+        assert capsys.readouterr().err.startswith("error: the scenario file holds more than MAX_SCENARIO_CHARS")
 
 
 # each kind's run, and the library modules it loads besides quaternion
