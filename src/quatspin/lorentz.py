@@ -126,14 +126,21 @@ def boost_generator(m, rapidity: float) -> LorentzQuat:
     return LorentzQuat(*generator_batch(m, rapidity, True), kind=KIND_BOOST)
 
 
-def boost_from_velocity(v, c: float = 1.0) -> LorentzQuat:
-    """Boost for velocity 3-vector v, |v| < c; rapidity = artanh(|v|/c).  c must be positive and finite."""
+@np.errstate(over="ignore")  # an overflowing |v|^2 is refused as |v| = inf
+def _velocity(v, c: float) -> tuple[np.ndarray, float, float]:
+    """(v, |v|^2, |v|) for a velocity 3-vector; ValueError unless 0 < c < inf, SuperluminalSpeed unless |v| < c."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
     v = np.asarray(v, dtype=float)
-    speed = float(np.linalg.norm(v))
-    if speed >= c:
+    speed_sq = float(v @ v)
+    if not (speed := math.sqrt(speed_sq)) < c:  # np.linalg.norm's dot and sqrt, so its |v| bit for bit; NaN too
         raise SuperluminalSpeed(f"|v| = {speed!r} must be below c = {c!r}")
+    return v, speed_sq, speed
+
+
+def boost_from_velocity(v, c: float = 1.0) -> LorentzQuat:
+    """Boost for velocity 3-vector v, |v| < c; rapidity = artanh(|v|/c).  c must be positive and finite."""
+    v, _, speed = _velocity(v, c)
     if speed == 0.0:  # rapidity 0 along any axis: nu0 = 1.0 and nu = +0.0
         return boost_generator((0.0, 0.0, 1.0), 0.0)
     return boost_generator(v / speed, math.atanh(speed / c))
@@ -208,14 +215,11 @@ def eb_boost(e, b, v, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         B' = g B - (g - 1)(B.v) v / v^2 - (g/c) v x E
 
     with g = 1/sqrt(1 - (v/c)^2).  Both field invariants are preserved;
-    the energy density is not.
+    the energy density is not.  c must be positive and finite.
     """
     e = np.asarray(e, dtype=float)
     b = np.asarray(b, dtype=float)
-    v = np.asarray(v, dtype=float)
-    speed_sq = float(v @ v)
-    if speed_sq >= c * c:
-        raise SuperluminalSpeed(f"|v| = {math.sqrt(speed_sq)!r} must be below c = {c!r}")
+    v, speed_sq, _ = _velocity(v, c)
     if speed_sq == 0.0:
         return e.copy(), b.copy()
     g = 1.0 / math.sqrt(1.0 - speed_sq / (c * c))

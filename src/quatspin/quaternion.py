@@ -24,7 +24,7 @@ import numpy as np
 # Unit-norm tolerance up to which user-supplied axes, states and polarizations are accepted.
 UNIT_TOL_INPUT = 1e-9
 
-_BLOCK = 1024  # rows rotate_batch reads out at a time, which bounds its temporaries near 1 MB
+_BLOCK = 1024  # rows read out, spin steps sampled or stations committed per batch: temporaries stay near 1 MB
 
 
 class NonUnitAxis(ValueError):
@@ -56,8 +56,8 @@ def _unit_norm_sq(q) -> np.ndarray:
     return nsq
 
 
-def _const(rows) -> np.ndarray:
-    m = np.array(rows, dtype=float)
+def _const(rows, dtype=float) -> np.ndarray:
+    m = np.array(rows, dtype=dtype)
     m.flags.writeable = False
     return m
 
@@ -67,12 +67,10 @@ ETA_X = _const([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 ETA_Y = _const([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 ETA_Z = _const([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _m in (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z):
-    _m.flags.writeable = False
+SIGMA_0 = _const([[1, 0], [0, 1]], complex)
+SIGMA_X = _const([[0, 1], [1, 0]], complex)
+SIGMA_Y = _const([[0, -1j], [1j, 0]], complex)
+SIGMA_Z = _const([[1, 0], [0, -1]], complex)
 
 
 @dataclass(frozen=True)

@@ -52,17 +52,14 @@ def _run_pms(scn: Scenario):
     cfg = spin.PmsConfig(n_blocks=p["n_blocks"], xi1=p["xi1"], xi2=p["xi2"], theta=p["theta"])
     p0 = np.array([0.0, 0.0, 1.0])
     traj = spin.pms_propagate(cfg, p0)
-    mid = traj.polar[:, 1]
     # station n gives the arrow-base row (s_n, P_n, P_n_mid), then the post-bar row (mid state, P_n_mid twice)
-    table = np.empty((2 * len(traj), 10))
-    table[0::2, :4], table[0::2, 4:7], table[0::2, 7:] = traj.states, traj.polar[:, 0], mid
-    table[1::2, :4], table[1::2, 4:7], table[1::2, 7:] = traj.mid_states, mid, mid
-    del traj, mid  # the chain and its readout are freed before the step columns are made
-    step = np.arange(len(table))
-    summary = {"closure_distance": float(np.linalg.norm(table[-2, 4:7] - p0)),  # P_n of the last base row
+    states = np.stack([traj.states, traj.mid_states], axis=1).reshape(-1, 4)
+    arrows, after_bar = traj.polar.reshape(-1, 3), np.repeat(traj.polar[:, 1], 2, axis=0)
+    step = np.arange(len(states))
+    summary = {"closure_distance": float(np.linalg.norm(traj.polar[-1, 0] - p0)),
                "resonant_geometry": float(cfg.is_resonant(1e-9))}
     # step / 2 is n on a base row and n + 0.5 on a post-bar row, exactly
-    return _TRAJ_COLUMNS, [step, step / 2.0, *table.T], summary
+    return _TRAJ_COLUMNS, [step, step / 2.0, *states.T, *arrows.T, *after_bar.T], summary
 
 
 def _run_helical(scn: Scenario):
@@ -70,9 +67,10 @@ def _run_helical(scn: Scenario):
     p = scn.params
     params = spin.HelicalParams(gamma_width=p["gamma"], delta_detune=p["delta"], omega_drive=p["omega"])
     traj = spin.integrate_spin(spin.helical_field(params), spin.IDENTITY, (0.0, p["t_max"]), p["dt"])
-    # sign -1 reads the polarization from the conjugate states (the reversed rotation)
-    readout = traj.states if p["sign"] > 0 else traj.states * np.array([1.0, -1.0, -1.0, -1.0])
-    px, py, pz = rotate_batch(readout, np.array([0.0, 0.0, 1.0])).T
+    # sign -1 reads out the conjugate states (the reversed rotation): scaled in place by the sign and back, exactly
+    traj.states[:, 1:] *= p["sign"]
+    px, py, pz = rotate_batch(traj.states, np.array([0.0, 0.0, 1.0])).T
+    traj.states[:, 1:] *= p["sign"]
     drift = float(np.max(np.abs(np.einsum("ij,ij->i", traj.states, traj.states) - 1.0)))
     # no bar sub-rotation: the *_mid columns are the px, py, pz arrays themselves, which the writer encodes once
     columns = [np.arange(len(traj)), traj.times, *traj.states.T, px, py, pz, px, py, pz]

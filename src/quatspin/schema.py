@@ -125,10 +125,10 @@ KINDS = tuple(_SCHEMAS)
 
 
 def _coerce(field: _Field, value):
-    if field.kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, bool) and field.kind is not bool:
+    if isinstance(value, bool):  # no field is a bool, and a bool is an int
         return None
+    if field.kind is float and isinstance(value, int):
+        return float(value)
     if not isinstance(value, field.kind):
         return None
     return value

@@ -23,6 +23,7 @@ import numpy as np
 from .quaternion import (
     IDENTITY,
     Quaternion,
+    _BLOCK,
     _mul4,
     _unit_norm_sq,
     _unit_vector,
@@ -30,8 +31,6 @@ from .quaternion import (
     rotate_batch,
 )
 from .schema import MAX_STEPS  # integrate_spin's step cap, which the schema's helical check states once
-
-_BLOCK = 1024  # steps sampled and built per batch, which bounds the temporaries near 1 MB
 
 
 class IndexOutOfRange(IndexError):

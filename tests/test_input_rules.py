@@ -4,6 +4,7 @@
 - A quaternion (spin state) is accepted when |q|^2 is within UNIT_TOL_INPUT of 1.
 - A finite-difference step h is accepted when 0 < h < inf.
 - A speed of light c is accepted when 0 < c < inf.
+- A velocity v is accepted when |v| < c, which a NaN |v| is not.
 """
 
 import ast
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quatspin
 from quatspin.emfield import (
@@ -24,7 +27,7 @@ from quatspin.emfield import (
     maxwell_residual,
     wave_residual,
 )
-from quatspin.lorentz import KIND_BOOST, boost_from_velocity
+from quatspin.lorentz import KIND_BOOST, SuperluminalSpeed, boost_from_velocity, boost_generator, eb_boost
 from quatspin.quaternion import (
     UNIT_TOL_INPUT,
     NonUnitAxis,
@@ -147,12 +150,43 @@ def test_boost_at_rest_has_the_bits_of_the_identity_boost():
     assert rest.nu.dtype == np.float64 and rest.nu.tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
 
 
+# each entry point that boosts by a velocity v at a speed of light c
+BOOST_ENTRIES = {
+    "boost_from_velocity": boost_from_velocity,
+    "eb_boost": lambda v, c: eb_boost([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], v, c),
+}
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
 @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)])
-def test_boost_from_velocity_refuses_a_speed_of_light_that_is_not_positive_and_finite(v, c):
+@pytest.mark.parametrize("name", sorted(BOOST_ENTRIES))
+def test_each_boost_refuses_a_speed_of_light_that_is_not_positive_and_finite(name, v, c):
     with pytest.raises(ValueError, match="^c must be positive and finite") as caught:
-        boost_from_velocity(v, c)
+        BOOST_ENTRIES[name](v, c)
     assert type(caught.value) is ValueError  # refused as c, before the speed is compared with it
+
+
+@pytest.mark.parametrize(("v", "speed"), [
+    ((math.nan, 0.0, 0.0), "nan"),
+    ((0.0, 0.0, math.nan), "nan"),
+    ((math.inf, 0.0, 0.0), "inf"),
+    ((0.0, 1e200, 0.0), "inf"),  # |v|^2 overflows: refused by name, with no numpy warning
+    ((1.0, 0.0, 0.0), "1.0"),  # at c itself
+])
+@pytest.mark.parametrize("name", sorted(BOOST_ENTRIES))
+def test_each_boost_refuses_a_speed_that_is_not_below_c(name, v, speed):
+    with pytest.raises(SuperluminalSpeed, match=rf"^\|v\| = {speed} must be below c = 1\.0$"):
+        BOOST_ENTRIES[name](v, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3), st.floats(1e-3, 1e3))
+def test_boost_from_velocity_reads_the_speed_that_np_linalg_norm_reads(v, c):
+    v = np.array(v) * c  # |v| < 0.99 c
+    speed = float(np.linalg.norm(v))
+    expected = boost_generator(v / speed, math.atanh(speed / c)) if speed else boost_from_velocity((0.0, 0.0, 0.0))
+    boost = boost_from_velocity(v, c)
+    assert boost.nu0 == expected.nu0 and boost.nu.tobytes() == expected.nu.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +213,12 @@ def test_unit_tolerance_is_compared_in_the_three_unit_checks_only():
     compared = functions_where(lambda n: isinstance(n, ast.Compare)
                                and any(named(x, "UNIT_TOL_INPUT") for x in [n.left, *n.comparators]))
     assert compared == {("quaternion", "_unit_vector"), ("quaternion", "_unit_norm_sq"), ("lorentz", "_unit_axes")}
+
+
+def test_speed_of_light_is_compared_in_the_velocity_check_only():
+    compared = functions_where(lambda n: isinstance(n, ast.Compare)
+                               and any(named(x, "c") for side in [n.left, *n.comparators] for x in ast.walk(side)))
+    assert compared == {("lorentz", "_velocity")}
 
 
 def test_degenerate_step_is_raised_by_the_stencil_only():

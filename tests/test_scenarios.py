@@ -27,7 +27,7 @@ from quatspin.cli import main
 from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
 from quatspin.lorentz import boost_generator, field_triple, rotation_generator
 from quatspin.quaternion import rotate_batch
-from quatspin import cli, scenarios
+from quatspin import cli, quaternion, scenarios
 from quatspin.scenarios import run_scenario, write_table
 from quatspin.schema import ConfigError, load_scenario, parse_scenario_text, validate_scenario
 
@@ -724,6 +724,9 @@ RETURNED_MEMORY = {
     "rotate_batch": (readout_call, 1.5),
     "helical": (lambda blocks: runner_call("helical", gamma=0.04, omega=0.02, delta=0.0, dt=0.125,
                                            t_max=128.0 * blocks), 1.5),
+    # read out in place, the conjugate states grow the peak as sign +1 does, 0.93 times; a conjugated copy, 1.44
+    "helical-sign-minus": (lambda blocks: runner_call("helical", gamma=0.04, omega=0.02, delta=0.0, dt=0.125,
+                                                      t_max=128.0 * blocks, sign=-1), 1.2),
     "pms": (lambda blocks: runner_call("pms", xi1=0.3, xi2=0.01, theta=0.15, n_blocks=1024 * blocks), 1.5),
     # every case is transformed at once, and those temporaries are left: the peak grows about 2.6 times as much
     "lorentz-check": (lambda blocks: runner_call("lorentz-check", n_cases=256 * blocks), 3.0),
@@ -1270,7 +1273,8 @@ def test_shipped_scenario_tables_keep_their_golden_digests(tmp_path):
 
 
 # documents the shipped scenarios leave out: a reversed readout, the other em cases, an empty chain, another
-# seed and rapidity; the longer tables span several of write_table's blocks, so that the block seams are pinned
+# seed and rapidity; the longer tables span several of write_table's blocks, so that the block seams are pinned,
+# and pms-seam's chain crosses a block of pms_propagate's committed stations
 PINNED_DOCUMENTS = {
     "helical-sign-minus": {"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.005, "t_max": 120.0,
                            "dt": 0.1, "sign": -1},
@@ -1278,6 +1282,7 @@ PINNED_DOCUMENTS = {
     "em-constant": {"kind": "em-check", "case": "constant"},
     "pms-no-blocks": {"kind": "pms", "xi1": 0.3, "xi2": 0.01, "theta": 0.15, "n_blocks": 0},
     "pms-two-blocks": {"kind": "pms", "xi1": 0.25, "xi2": 0.02, "theta": 0.1, "n_blocks": 300},
+    "pms-seam": {"kind": "pms", "xi1": 0.3, "xi2": 0.01, "theta": 0.15, "n_blocks": 1100},
     "lorentz-seed": {"kind": "lorentz-check", "n_cases": 200, "max_generators": 3, "rapidity_max": 7.5, "seed": 2024},
     "resonance-seams": {"kind": "resonance-curve", "gamma": 0.04, "delta_min": -0.4, "delta_max": 0.4,
                         "n_points": 2000, "t_pass": 78.53981633974483},
@@ -1293,6 +1298,8 @@ PINNED_DIGESTS = {
     ("lorentz-seed", "json"): "ea64b8b2f941b91ae531fd253dac0d89e884e605892c49cf2dd8aa3b462e656c",
     ("pms-no-blocks", "csv"): "404f87a465b6d1170990288d467e63db2f5b900e77355695e1a78b911517f4a9",
     ("pms-no-blocks", "json"): "492b6f5b5a56ce0df87c00d4ca0265ea85d6a1af1582b0debc45e93928713c09",
+    ("pms-seam", "csv"): "88cd64b3749a5a72627949138f528335fb326b60261aeae3e2ac8cae291e75bb",
+    ("pms-seam", "json"): "13e9ffd632c2aaa1bf1da9becbce7bb614a6022d98d8f8cecdfb150fb9475b21",
     ("pms-two-blocks", "csv"): "478393b85b63a2347e13e750a2952820a88da13f37a432eccee1c0bc4d531630",
     ("pms-two-blocks", "json"): "534b05dd51b5a4b705014a87da12151cf5eb0f4adac8f15528b6a867c207e7c9",
     ("resonance-seams", "csv"): "aaf4fe4f5a1f8cf076115f207770d0e08d99ba0ee3b5218e443b35483c91f253",
@@ -1307,12 +1314,14 @@ PINNED_SUMMARIES = {
                      "max_i2_rel_err": 1.8935382436550138e-15, "max_w0_change": 263122046515.33173},
     "pms-no-blocks": {"closure_distance": 0.0, "resonant_geometry": 0.0},
     "pms-two-blocks": {"closure_distance": 0.4314701271802637, "resonant_geometry": 0.0},
+    "pms-seam": {"closure_distance": 1.1193785747969087, "resonant_geometry": 0.0},
     "resonance-seams": {"peak_delta": -0.00020010005002502051, "peak_p_down": 0.9999749752211845},
 }
 
 
 def test_pinned_documents_keep_their_golden_digests_and_summaries(tmp_path):
     assert PINNED_DOCUMENTS["resonance-seams"]["n_points"] > 3 * scenarios._BLOCK_ROWS
+    assert PINNED_DOCUMENTS["pms-seam"]["n_blocks"] + 1 > quaternion._BLOCK
     digests, summaries = {}, {}
     for name, doc in PINNED_DOCUMENTS.items():
         for fmt in ("csv", "json"):

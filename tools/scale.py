@@ -1,9 +1,10 @@
 """Wall time and peak memory of one ``quatspin run`` per kind, at a fraction of the schema's size bounds.
 
 Each document runs in a fresh ``python -m quatspin.cli run`` process on the given ``src`` tree.  First the
-tool prints the peak RSS of a bare ``python -c "import numpy"``, the floor under every run; then, for each
-document, it prints the wall time, the child's peak resident set (``ru_maxrss``, from ``os.wait4``) and the
-size and sha256 of the table it wrote, so that two source trees can be compared table for table.  Each
+tool prints the peak RSS of a bare ``python -c "import numpy"``, the floor under every run, and the lines of
+Python in the ``src`` tree, as ``wc -l`` counts them; then, for each document, it prints the wall time, the
+child's peak resident set (``ru_maxrss``, from ``os.wait4``) and the size and sha256 of the table it wrote,
+so that two source trees can be compared table for table, with their code size beside.  Each
 document then runs twice more over its own table, and ``rewrite_s`` is the wall time of the second of those
 runs: the cost of landing a table on a name that holds one which the file system has already written out.  The
 tool stops if a rewritten table differs.  It uses the standard library only and is not part of the test suite.
@@ -14,6 +15,7 @@ Usage: python tools/scale.py [--fraction 0.1] [--src DIR]
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import os
 import subprocess
@@ -51,6 +53,15 @@ def run_child(args: list, src: str) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024.0
 
 
+def source_lines(src: str) -> int:
+    """Lines of Python in the src tree, counted as wc -l counts them: newline characters."""
+    lines = 0
+    for path in glob.glob(os.path.join(src, "**", "*.py"), recursive=True):
+        with open(path, "rb") as fh:
+            lines += fh.read().count(b"\n")
+    return lines
+
+
 def sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -86,13 +97,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not 0.0 < args.fraction <= 1.0:
         ap.error("--fraction must be in (0, 1]")
-    print(f"floor: peak_rss_mb {run_child(['-c', 'import numpy'], os.path.abspath(args.src))[1]:.1f} "
-          "for python -c 'import numpy'")
+    src = os.path.abspath(args.src)
+    print(f"floor: peak_rss_mb {run_child(['-c', 'import numpy'], src)[1]:.1f} for python -c 'import numpy'")
+    print(f"src: {source_lines(src)} lines of Python in {src}")
     print(f"{'kind':<16}{'format':<8}{'wall_s':>9}{'rewrite_s':>10}{'peak_rss_mb':>13}{'bytes':>12}  sha256")
     with tempfile.TemporaryDirectory() as work:
         for kind, document in DOCUMENTS.items():
             for fmt in ("csv", "json"):
-                r = run_one(os.path.abspath(args.src), document(args.fraction), fmt, work)
+                r = run_one(src, document(args.fraction), fmt, work)
                 print(f"{kind:<16}{fmt:<8}{r['wall_s']:>9.2f}{r['rewrite_s']:>10.2f}{r['peak_rss_mb']:>13.1f}"
                       f"{r['bytes']:>12}  {r['sha256']}", flush=True)
     return 0
