@@ -12,7 +12,8 @@ scalar wave operator times the identity.
 All differentiation here is pointwise 2nd-order central differencing of
 caller-supplied analytic field functions; there is no stored grid state.
 Functions of spacetime take the four scalars (t, x, y, z).  Units are
-Gaussian (4 pi / c source factors) with a configurable c defaulting to 1.
+Gaussian (4 pi / c source factors) with a configurable c defaulting to 1,
+which every function refuses unless 0 < c < inf.
 """
 
 from __future__ import annotations
@@ -118,6 +119,12 @@ class MaxwellResidual:
 # pointwise differencing
 
 
+def _check_light_speed(c: float) -> None:
+    """The speed of light rule of every function that takes c: ValueError unless 0 < c < inf."""
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
+
+
 def _stencil(fn, point, h: float) -> list:
     """fn at point + h and point - h along each of t, x, y, z: four (plus, minus) pairs; needs 0 < h < inf."""
     if not 0.0 < h < math.inf:  # an infinite step would difference a constant field to an exact 0
@@ -155,6 +162,7 @@ def _curl(jac) -> np.ndarray:
 
 def fields_from_potential(pot: FourPotential, point, h: float, c: float = 1.0) -> EmFieldSample:
     """B = curl A and E = -grad phi - (1/c) dA/dt by central differences."""
+    _check_light_speed(c)
     da = _jacobian(_stencil(pot.a, point, h), h)
     dphi = _jacobian(_stencil(pot.phi, point, h), h)
     return EmFieldSample(e=-dphi[1:] - da[0] / c, b=_curl(da))
@@ -162,6 +170,7 @@ def fields_from_potential(pot: FourPotential, point, h: float, c: float = 1.0) -
 
 def lorenz_gauge_residual(pot: FourPotential, point, h: float, c: float = 1.0) -> float:
     """(1/c) d phi/dt + div A; zero for a potential in Lorenz gauge."""
+    _check_light_speed(c)
     da = _jacobian(_stencil(pot.a, point, h), h)
     dphi = _jacobian(_stencil(pot.phi, point, h), h)
     return float(dphi[0]) / c + _div(da)
@@ -175,6 +184,7 @@ def potential_matrix(pot: FourPotential, t, x, y, z) -> np.ndarray:
 
 def current_matrix(cur: FourCurrent, c: float = 1.0) -> np.ndarray:
     """4x4 realization -i*c*rho*eta_0 + jx*eta_x + jy*eta_y + jz*eta_z."""
+    _check_light_speed(c)
     return -1j * c * cur.rho * ETA_0 + cur.j[0] * ETA_X + cur.j[1] * ETA_Y + cur.j[2] * ETA_Z
 
 
@@ -184,6 +194,7 @@ def apply_dirac(mat_fn, point, h: float, c: float = 1.0, transpose: bool = False
     D M = i c^-1 eta_0 (dt M) + eta_x (dx M) + eta_y (dy M) + eta_z (dz M);
     the transpose flips the sign of the three spatial basis matrices.
     """
+    _check_light_speed(c)
     sign = -1.0 if transpose else 1.0
     dm = _jacobian(_stencil(mat_fn, point, h), h)
     out = (1j / c) * ETA_0 @ dm[0]
@@ -220,6 +231,7 @@ def maxwell_residual(field_fn, source_fn, point, h: float, c: float = 1.0) -> Ma
     eta components of D F - (4 pi / c) J.  All four are read off one
     Jacobian of (E, B): field_fn is called once at each of the 8 stencil points.
     """
+    _check_light_speed(c)
     pairs = _stencil(field_fn, point, h)
     de = _jacobian([(plus.e, minus.e) for plus, minus in pairs], h)
     db = _jacobian([(plus.b, minus.b) for plus, minus in pairs], h)
@@ -240,6 +252,7 @@ def wave_residual(field_fn, point, h: float, c: float = 1.0) -> np.ndarray:
     times: at the point and at +-2h along every axis.  Zero for any vacuum
     solution of the Maxwell equations.
     """
+    _check_light_speed(c)
     pairs = _stencil(field_fn, point, 2.0 * h)  # first: a bad step raises before field_fn is called
     f0 = em_tensor(field_fn(*point)).f
     dtt, dxx, dyy, dzz = [(em_tensor(plus).f - 2.0 * f0 + em_tensor(minus).f) / (4.0 * h * h)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emfield import EmFieldSample, EmTensor
+from .emfield import EmFieldSample, EmTensor, _check_light_speed
 from .quaternion import ETA_0, ETA_X, ETA_Y, ETA_Z, NonUnitAxis, UNIT_TOL_INPUT, _mul4
 
 KIND_ROTATION = "rotation"
@@ -129,8 +129,7 @@ def boost_generator(m, rapidity: float) -> LorentzQuat:
 @np.errstate(over="ignore")  # an overflowing |v|^2 is refused as |v| = inf
 def _velocity(v, c: float) -> tuple[np.ndarray, float, float]:
     """(v, |v|^2, |v|) for a velocity 3-vector; ValueError unless 0 < c < inf, SuperluminalSpeed unless |v| < c."""
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c!r}")
+    _check_light_speed(c)
     v = np.asarray(v, dtype=float)
     speed_sq = float(v @ v)
     if not (speed := math.sqrt(speed_sq)) < c:  # np.linalg.norm's dot and sqrt, so its |v| bit for bit; NaN too
@@ -215,14 +214,19 @@ def eb_boost(e, b, v, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         B' = g B - (g - 1)(B.v) v / v^2 - (g/c) v x E
 
     with g = 1/sqrt(1 - (v/c)^2).  Both field invariants are preserved;
-    the energy density is not.  c must be positive and finite.
+    the energy density is not.  c must be positive and finite; a speed whose
+    1 - (v/c)^2 is not positive once c * c underflows raises ValueError.
     """
     e = np.asarray(e, dtype=float)
     b = np.asarray(b, dtype=float)
-    v, speed_sq, _ = _velocity(v, c)
+    v, speed_sq, speed = _velocity(v, c)
     if speed_sq == 0.0:
         return e.copy(), b.copy()
-    g = 1.0 / math.sqrt(1.0 - speed_sq / (c * c))
+    inv_gamma_sq = 1.0 - speed_sq / (c * c)
+    if not inv_gamma_sq > 0.0:  # |v| < c, but c * c is subnormal and |v|^2 rounds to it
+        raise ValueError(f"1 - |v|^2 / c^2 = {inv_gamma_sq!r} is not positive for |v| = {speed!r} and c = {c!r}: "
+                         "c * c underflows")
+    g = 1.0 / math.sqrt(inv_gamma_sq)
     e_out = g * e - (g - 1.0) * (e @ v) * v / speed_sq + (g / c) * np.cross(v, b)
     b_out = g * b - (g - 1.0) * (b @ v) * v / speed_sq - (g / c) * np.cross(v, e)
     return e_out, b_out

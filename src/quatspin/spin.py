@@ -14,7 +14,6 @@ Everything works in phase units: fields enter only through angular rates
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -292,14 +291,14 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
     states = np.empty((n_steps + 1, 4))
     states[0] = s = s0.normalized().as_array().tolist()
     for lo in range(0, n_steps, _BLOCK):
-        block = _step_quaternions(field_fn, starts[lo : lo + _BLOCK], h[lo : lo + _BLOCK], coupling).tolist()
-        for k, mk in enumerate(block):  # each step quaternion is replaced by the state it makes
+        m = _step_quaternions(field_fn, starts[lo : lo + _BLOCK], h[lo : lo + _BLOCK], coupling)
+        flat = []  # four floats per state, as pms_propagate commits: no container per step is kept alive
+        for mk in zip(*m.T.tolist()):
             w, x, y, z = _mul4(mk, s)
             norm = math.sqrt(w * w + x * x + y * y + z * z)
-            block[k] = s = (w / norm, x / norm, y / norm, z / norm)
-        flat = np.fromiter(itertools.chain.from_iterable(block), float, 4 * len(block))
-        states[lo + 1 : lo + 1 + len(block)] = flat.reshape(-1, 4)
-        del block  # frees these states before the next block of step quaternions is built
+            s = (w / norm, x / norm, y / norm, z / norm)
+            flat += s
+        states[lo + 1 : lo + 1 + len(m)] = np.fromiter(flat, float, len(flat)).reshape(-1, 4)
     return SpinTrajectory(times=times, states=states)
 
 

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 import quatspin
 from quatspin.emfield import (
     DegenerateStep,
+    FourCurrent,
     FourPotential,
     apply_dirac,
     continuity_residual,
+    current_matrix,
     fields_from_potential,
     lorenz_gauge_residual,
     maxwell_residual,
@@ -166,6 +168,27 @@ def test_each_boost_refuses_a_speed_of_light_that_is_not_positive_and_finite(nam
     assert type(caught.value) is ValueError  # refused as c, before the speed is compared with it
 
 
+# each field function that takes a speed of light c: a bad c is refused before a callback is called
+FIELD_LIGHT_SPEED_ENTRIES = {
+    "fields_from_potential": lambda c: fields_from_potential(FourPotential(not_called, not_called), (0, 1, 1, 1),
+                                                             0.01, c),
+    "lorenz_gauge_residual": lambda c: lorenz_gauge_residual(FourPotential(not_called, not_called), (0, 1, 1, 1),
+                                                             0.01, c),
+    "current_matrix": lambda c: current_matrix(FourCurrent(rho=1.0, j=[0.0, 0.0, 0.0]), c),
+    "apply_dirac": lambda c: apply_dirac(not_called, (0, 1, 1, 1), 0.01, c),
+    "maxwell_residual": lambda c: maxwell_residual(not_called, not_called, (0, 1, 1, 1), 0.01, c),
+    "wave_residual": lambda c: wave_residual(not_called, (0, 1, 1, 1), 0.01, c),
+}
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(FIELD_LIGHT_SPEED_ENTRIES))
+def test_each_field_function_refuses_a_speed_of_light_that_is_not_positive_and_finite(name, c):
+    with pytest.raises(ValueError, match="^c must be positive and finite") as caught:
+        FIELD_LIGHT_SPEED_ENTRIES[name](c)
+    assert type(caught.value) is ValueError
+
+
 @pytest.mark.parametrize(("v", "speed"), [
     ((math.nan, 0.0, 0.0), "nan"),
     ((0.0, 0.0, math.nan), "nan"),
@@ -177,6 +200,16 @@ def test_each_boost_refuses_a_speed_of_light_that_is_not_positive_and_finite(nam
 def test_each_boost_refuses_a_speed_that_is_not_below_c(name, v, speed):
     with pytest.raises(SuperluminalSpeed, match=rf"^\|v\| = {speed} must be below c = 1\.0$"):
         BOOST_ENTRIES[name](v, 1.0)
+
+
+def test_eb_boost_refuses_a_speed_below_c_where_c_squared_underflows():
+    # |v| < c, but c * c rounds to the subnormal 1e-323, and so does |v|^2: 1 - |v|^2 / c^2 is 0
+    with pytest.raises(ValueError, match=r"^1 - \|v\|\^2 / c\^2 = 0\.0 is not positive for \|v\| = 3\.14") as caught:
+        eb_boost([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], (3.1434555694052576e-162, 0.0, 0.0), 3.2e-162)
+    assert type(caught.value) is ValueError
+    # at rest any positive c is accepted, however small: the fields come back unchanged
+    e, b = eb_boost([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], (0.0, 0.0, 0.0), 1e-200)
+    assert e.tolist() == [1.0, 2.0, 3.0] and b.tolist() == [4.0, 5.0, 6.0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,10 +248,19 @@ def test_unit_tolerance_is_compared_in_the_three_unit_checks_only():
     assert compared == {("quaternion", "_unit_vector"), ("quaternion", "_unit_norm_sq"), ("lorentz", "_unit_axes")}
 
 
-def test_speed_of_light_is_compared_in_the_velocity_check_only():
-    compared = functions_where(lambda n: isinstance(n, ast.Compare)
-                               and any(named(x, "c") for side in [n.left, *n.comparators] for x in ast.walk(side)))
-    assert compared == {("lorentz", "_velocity")}
+def compared_with(name: str, node) -> set:
+    """The names read on the sides of a comparison that reads name, or an empty set."""
+    if not isinstance(node, ast.Compare):
+        return set()
+    read = {x.id for side in [node.left, *node.comparators] for x in ast.walk(side) if isinstance(x, ast.Name)}
+    return read if name in read else set()
+
+
+def test_speed_of_light_is_checked_in_one_function_and_compared_with_a_speed_in_the_velocity_check():
+    # the rule 0 < c < inf compares c with constants only; |v| < c compares it with a speed
+    checked = functions_where(lambda n: {"c"} <= compared_with("c", n) <= {"c", "math"})
+    assert checked == {("emfield", "_check_light_speed")}
+    assert functions_where(lambda n: compared_with("c", n) - {"c", "math"}) == {("lorentz", "_velocity")}
 
 
 def test_degenerate_step_is_raised_by_the_stencil_only():

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import errno
+import gc
 import hashlib
 import importlib
 import io
@@ -26,10 +27,11 @@ import quatspin
 from quatspin.cli import main
 from quatspin.emfield import EmFieldSample, EmTensor, em_tensor, energy_quadratic, lorentz_invariants
 from quatspin.lorentz import boost_generator, field_triple, rotation_generator
-from quatspin.quaternion import rotate_batch
+from quatspin.quaternion import IDENTITY, rotate_batch
 from quatspin import cli, quaternion, scenarios
 from quatspin.scenarios import run_scenario, write_table
 from quatspin.schema import ConfigError, load_scenario, parse_scenario_text, validate_scenario
+from quatspin.spin import HelicalParams, PmsConfig, helical_field, integrate_spin, pms_propagate
 
 RESONANT_PMS = """
 kind = pms
@@ -749,6 +751,56 @@ def test_peak_memory_grows_as_what_the_call_returns(name):
         del returned
     (kept_short, peak_short), (kept_long, peak_long) = traced
     assert peak_long - peak_short <= bound * (kept_long - kept_short), (traced, bound)
+
+
+# every kind across several 1024-row blocks (5000 helical steps, 3001 pms stations, 2000 lorentz-check cases of
+# four rows, 5000 points), and em-check at its most levels: its table has at most 60 rows
+COLLECTION_DOCUMENTS = {
+    "helical": {"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.0, "dt": 0.125, "t_max": 625.0},
+    "helical-sign-minus": {"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.0, "dt": 0.125,
+                           "t_max": 625.0, "sign": -1},
+    "pms": {"kind": "pms", "xi1": 0.3, "xi2": 0.01, "theta": 0.15, "n_blocks": 3000},
+    "lorentz-check": {"kind": "lorentz-check", "n_cases": 2000},
+    "resonance-curve": {"kind": "resonance-curve", "gamma": 0.04, "delta_min": -0.4, "delta_max": 0.4,
+                        "n_points": 5000, "t_pass": 78.5},
+    "em-check": {"kind": "em-check", "case": "point-charge", "n_levels": 12},
+}
+
+# the library calls that the runners make, called directly
+COLLECTION_CALLS = {
+    "integrate_spin": lambda: integrate_spin(helical_field(HelicalParams(0.04, 0.0, 0.02)), IDENTITY, (0.0, 625.0),
+                                             0.125),
+    "pms_propagate": lambda: pms_propagate(PmsConfig(3000, 0.3, 0.01, 0.15), [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize(("name", "fmt"), [*((name, fmt) for name in COLLECTION_DOCUMENTS for fmt in ("csv", "json")),
+                                           *((name, None) for name in COLLECTION_CALLS)])
+def test_no_run_sets_off_a_garbage_collection(tmp_path, name, fmt):
+    # CPython collects the young generation once 700 more tracked containers are alive than at the last
+    # collection; a run that keeps a container per row alive sets it off inside the run, several times a run
+    if fmt is None:
+        call = COLLECTION_CALLS[name]
+    else:
+        scn = validate_scenario({**COLLECTION_DOCUMENTS[name], "format": fmt})
+        call = lambda: run_scenario(scn, str(tmp_path))
+    call()  # the first run imports the runner's modules and fills one-time caches
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, *threshold[1:])  # CPython's default, whatever the process set
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert starts == []
 
 
 # ---------------------------------------------------------------------------

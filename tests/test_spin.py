@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -485,6 +486,40 @@ def test_integrate_spin_samples_helical_fields_per_block_as_per_call(rates, scal
 
     # a lambda has no sample attribute, so it takes the per-call path
     assert outcome(field) == outcome(lambda t: field(t))
+
+
+def plain_field(t):
+    """A plain callable: no sample attribute, and a new tuple per call."""
+    return (0.3 * math.cos(1.1 * t), 0.2 - 0.1 * math.sin(0.4 * t), 0.5)
+
+
+# sha256 of integrate_spin's states on both sides of the 1024-step block (x86-64, numpy 2.4); each span ends
+# on a half step, so the last step is the shorter one
+INTEGRATE_FIELDS = {  # (field_fn, dt, coupling)
+    "plain": (plain_field, 0.05, -1.3),
+    "helical": (helical_field(HelicalParams(0.9, 0.3, 1.7)), 0.25, 1.0),
+}
+INTEGRATE_DIGESTS = {
+    ("plain", 1): "8ea61061fad82a87d0fe510b2ac87e917f3825e02b1342e969ecf30d25ee13a0",
+    ("plain", 1023): "c27d2b59184f28d8bd754a1881664bb0665ff882867c67caf1bea2aad0e89261",
+    ("plain", 1024): "4059bed890683ef2c5034f83f1855cfa04301b73f8af11b21c0a23592e00ba6d",
+    ("plain", 1025): "edb98e0233e8e4147986e6ccdf8825b273fd30ff585fc861a14ac71cb3fc6b4b",
+    ("plain", 2049): "2ad6dbd27de85ee4efa1a5b1d0c58bd010ba6ad2ba342907bf9564e7e36558b5",
+    ("helical", 1): "c4273957413d51505bdc0afcd1d0eeb4b900060fdd2af368f8fee082cce240e8",
+    ("helical", 1023): "ce5fb65db901cd5be74834ea6434252d9f48777569b022fc4d23eab6d50eebf1",
+    ("helical", 1024): "f5e7dfd2c15a047c71742fc8426f3afbf462445ebd62c80d6e00690cd076406e",
+    ("helical", 1025): "eb21aa106cfab7499206b319c820b12d1ee7dec355068855c7fdc95ead766993",
+    ("helical", 2049): "176369a2ebdca2095beba513f28bf8f18bd0589317adf612484539c04e83701c",
+}
+
+
+@pytest.mark.parametrize(("name", "n_steps"), sorted(INTEGRATE_DIGESTS))
+def test_integrate_spin_states_keep_their_golden_digests(name, n_steps):
+    field_fn, dt, coupling = INTEGRATE_FIELDS[name]
+    traj = integrate_spin(field_fn, Quaternion(0.5, 0.5, -0.5, 0.5), (0.25, 0.25 + (n_steps - 0.5) * dt), dt,
+                          coupling=coupling)
+    assert len(traj) == n_steps + 1
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == INTEGRATE_DIGESTS[name, n_steps]
 
 
 def test_overflowing_rk4_step_is_step_too_large():
