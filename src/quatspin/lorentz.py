@@ -21,6 +21,7 @@ them is a plain negation.  Every kernel works row-wise on (..., 3) arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,10 +140,14 @@ def _velocity(v, c: float) -> tuple[np.ndarray, float, float]:
 
 def boost_from_velocity(v, c: float = 1.0) -> LorentzQuat:
     """Boost for velocity 3-vector v, |v| < c; rapidity = artanh(|v|/c).  c must be positive and finite."""
-    v, _, speed = _velocity(v, c)
+    v, speed_sq, speed = _velocity(v, c)
     if speed == 0.0:  # rapidity 0 along any axis: nu0 = 1.0 and nu = +0.0
         return boost_generator((0.0, 0.0, 1.0), 0.0)
-    return boost_generator(v / speed, math.atanh(speed / c))
+    axis = v / speed
+    if speed_sq < sys.float_info.min:  # |v|^2 is subnormal, so |v| is too coarse to divide v by: scale v up first
+        axis = v / np.max(np.abs(v))
+        axis /= np.linalg.norm(axis)
+    return boost_generator(axis, math.atanh(speed / c))
 
 
 def transform_batch(nu0, nu, boost, f) -> np.ndarray:

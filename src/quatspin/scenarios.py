@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # every kind needs quaternion; each runner imports the other modules it calls, so a run loads only its kind's
-from .quaternion import rotate_batch
+from .quaternion import _BLOCK, rotate_batch
 # load_scenario is bound here too, so that callers load and run through this one module
 from .schema import FORMATS, Scenario, load_scenario  # noqa: F401
 
@@ -51,12 +51,13 @@ def _run_pms(scn: Scenario):
     p = scn.params
     cfg = spin.PmsConfig(n_blocks=p["n_blocks"], xi1=p["xi1"], xi2=p["xi2"], theta=p["theta"])
     p0 = np.array([0.0, 0.0, 1.0])
-    traj = spin.pms_propagate(cfg, p0)
+    chain = spin._pms_chain(cfg)  # each station's state, then its mid state: the table's row order
+    polar = rotate_batch(chain, p0)  # (P_n, P_n_mid) per station
     # station n gives the arrow-base row (s_n, P_n, P_n_mid), then the post-bar row (mid state, P_n_mid twice)
-    states = np.stack([traj.states, traj.mid_states], axis=1).reshape(-1, 4)
-    arrows, after_bar = traj.polar.reshape(-1, 3), np.repeat(traj.polar[:, 1], 2, axis=0)
+    states = chain.reshape(-1, 4)
+    arrows, after_bar = polar.reshape(-1, 3), np.repeat(polar[:, 1], 2, axis=0)
     step = np.arange(len(states))
-    summary = {"closure_distance": float(np.linalg.norm(traj.polar[-1, 0] - p0)),
+    summary = {"closure_distance": float(np.linalg.norm(polar[-1, 0] - p0)),
                "resonant_geometry": float(cfg.is_resonant(1e-9))}
     # step / 2 is n on a base row and n + 0.5 on a post-bar row, exactly
     return _TRAJ_COLUMNS, [step, step / 2.0, *states.T, *arrows.T, *after_bar.T], summary
@@ -145,44 +146,46 @@ def _run_lorentz_check(scn: Scenario):
     # draws use random() with + - * /, int and comparisons alone, so no libm call and no numpy Generator fixes a case
     rnd = random.Random(scn.seed).random
     n, n_gen, r = p["n_cases"], p["max_generators"], p["rapidity_max"]
-    fields, counts = np.empty((n, 6)), np.empty(n, dtype=int)
-    m = n * n_gen  # room for every case at its most generators: generator k of the draw is row k
-    axes, boosts, angles, k = np.empty((m, 3)), np.empty(m, dtype=bool), np.empty(m), 0
-    for i in range(n):  # draws only, in the order that fixes the table bytes
-        fields[i] = [2.0 * rnd() - 1.0 for _ in range(6)]  # e, then b: each component uniform in [-1, 1)
-        counts[i] = count = 1 + int(rnd() * n_gen)
-        for _ in range(count):
-            while True:  # an isotropic axis: a point of the unit ball, from the cube by rejection (Marsaglia 1972)
-                x, y, z = 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0
-                if 1e-12 < x * x + y * y + z * z < 1.0:  # the zero vector, which has no direction, is refused too
-                    break
-            axes[k] = x, y, z
-            boosts[k] = boost = rnd() < 0.5
-            angles[k] = (2.0 * rnd() - 1.0) * r if boost else 2.0 * math.pi * rnd()  # [-r, r) or [0, 2 pi)
-            k += 1
-    axes, boosts, angles = axes[:k], boosts[:k], angles[:k]
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    sample = emfield.EmFieldSample(e=fields[:, :3], b=fields[:, 3:])
-    i1, i2 = emfield.lorentz_invariants(sample)
-    w0, _ = emfield.energy_quadratic(sample)
-    f = emfield.em_tensor(sample).f
-    closed = f.copy()  # the closed forms are linear: they carry f = B - i E as they carry the triple -f
-    first = np.cumsum(counts) - counts
-    for j in range(counts.max()):  # step j applies generator j of every case that has one
-        active = counts > j
-        g = first[active] + j
-        nu0, nu = lorentz.generator_batch(axes[g], angles[g], boosts[g])
-        f[active] = lorentz.transform_batch(nu0, nu, boosts[g], f[active])
-        closed[active] = lorentz.closed_form_batch(closed[active], axes[g], angles[g], boosts[g])
-    out = emfield.EmTensor(f=f).fields()
-    i1p, i2p = emfield.lorentz_invariants(out)
-    w0p, _ = emfield.energy_quadratic(out)
-    # relative to the quadratic field scale: boosts amplify the fields, and
-    # the invariants are recovered only through cancellation at that scale;
-    # the two routes to the transformed field differ at its linear scale
-    scale = np.maximum(1.0, np.maximum(w0, w0p))
-    closed_vs_conj = np.max(np.abs(closed - f), axis=1) / np.sqrt(scale)
-    table = np.column_stack([np.abs(i1p - i1) / scale, np.abs(i2p - i2) / scale, closed_vs_conj, np.abs(w0p - w0)])
+    table = np.empty((n, 4))
+    for lo in range(0, n, _BLOCK):  # one block of cases at a time: only its draws are held as Python floats
+        flat, counts, steps = [], [], [[] for _ in range(n_gen)]  # steps[j]: generator j of each case that has one
+        for _ in range(min(_BLOCK, n - lo)):  # draws only, in the order that fixes the table bytes
+            flat += [2.0 * rnd() - 1.0 for _ in range(6)]  # e, then b: each component uniform in [-1, 1)
+            count = 1 + int(rnd() * n_gen)
+            counts.append(count)
+            for step in steps[:count]:
+                while True:  # an isotropic axis: a point of the unit ball, from the cube by rejection (Marsaglia 1972)
+                    x, y, z = 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0
+                    if 1e-12 < x * x + y * y + z * z < 1.0:  # the zero vector, which has no direction, is refused too
+                        break
+                boost = rnd() < 0.5
+                angle = (2.0 * rnd() - 1.0) * r if boost else 2.0 * math.pi * rnd()  # [-r, r) or [0, 2 pi)
+                step += x, y, z, boost, angle
+        fields = np.fromiter(flat, float, len(flat)).reshape(-1, 6)
+        counts = np.fromiter(counts, int, len(counts))
+        sample = emfield.EmFieldSample(e=fields[:, :3], b=fields[:, 3:])
+        i1, i2 = emfield.lorentz_invariants(sample)
+        w0, _ = emfield.energy_quadratic(sample)
+        f = emfield.em_tensor(sample).f
+        closed = f.copy()  # the closed forms are linear: they carry f = B - i E as they carry the triple -f
+        for j in range(counts.max()):  # step j applies generator j of every case that has one, in case order
+            active = counts > j
+            gens = np.fromiter(steps[j], float, len(steps[j])).reshape(-1, 5)
+            axes = gens[:, :3] / np.linalg.norm(gens[:, :3], axis=1, keepdims=True)
+            boosts, angles = gens[:, 3] != 0.0, gens[:, 4]
+            nu0, nu = lorentz.generator_batch(axes, angles, boosts)
+            f[active] = lorentz.transform_batch(nu0, nu, boosts, f[active])
+            closed[active] = lorentz.closed_form_batch(closed[active], axes, angles, boosts)
+        out = emfield.EmTensor(f=f).fields()
+        i1p, i2p = emfield.lorentz_invariants(out)
+        w0p, _ = emfield.energy_quadratic(out)
+        # relative to the quadratic field scale: boosts amplify the fields, and
+        # the invariants are recovered only through cancellation at that scale;
+        # the two routes to the transformed field differ at its linear scale
+        scale = np.maximum(1.0, np.maximum(w0, w0p))
+        closed_vs_conj = np.max(np.abs(closed - f), axis=1) / np.sqrt(scale)
+        table[lo : lo + _BLOCK] = np.column_stack([np.abs(i1p - i1) / scale, np.abs(i2p - i2) / scale,
+                                                  closed_vs_conj, np.abs(w0p - w0)])
     names = ("i1_rel_err", "i2_rel_err", "closed_vs_conj", "w0_change")
     summary = {f"max_{name}": float(col.max()) for name, col in zip(names, table.T)}
     columns = [np.repeat(np.arange(n), len(names)), np.tile(np.array(names), n), table.ravel()]

@@ -200,6 +200,13 @@ def pms_propagate(cfg: PmsConfig, p0) -> SpinTrajectory:
     same chain through the rotation homomorphism; mid_states holds u1 (x) q.
     """
     p, _ = _unit_vector(p0, NonUnitPolarization, "polarization")
+    chain = _pms_chain(cfg)
+    times = np.arange(cfg.n_blocks + 1, dtype=float)
+    return SpinTrajectory(times=times, states=chain[:, 0], polar=rotate_batch(chain, p), mid_states=chain[:, 1])
+
+
+def _pms_chain(cfg: PmsConfig) -> np.ndarray:
+    """The (n_blocks + 1, 2, 4) stations of pms_propagate: q, then mid = u1 (x) q, for n = 0..n_blocks."""
     u1, u2 = (g.as_array().tolist() for g in pms_block_generators(cfg, 0))
     q, chain = IDENTITY.as_array().tolist(), np.empty((cfg.n_blocks + 1, 2, 4))
     for lo in range(0, cfg.n_blocks + 1, _BLOCK):
@@ -210,8 +217,7 @@ def pms_propagate(cfg: PmsConfig, p0) -> SpinTrajectory:
             flat += mid
             q = _mul4(u2, mid)
         chain[lo : lo + len(flat) // 8] = np.fromiter(flat, float, len(flat)).reshape(-1, 2, 4)
-    times = np.arange(cfg.n_blocks + 1, dtype=float)
-    return SpinTrajectory(times=times, states=chain[:, 0], polar=rotate_batch(chain, p), mid_states=chain[:, 1])
+    return chain
 
 
 # ---------------------------------------------------------------------------

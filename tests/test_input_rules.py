@@ -9,11 +9,12 @@
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quatspin
@@ -214,10 +215,17 @@ def test_eb_boost_refuses_a_speed_below_c_where_c_squared_underflows():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3), st.floats(1e-3, 1e3))
+@example(v=[0.0, 0.0, 2.565875079458988e-157], c=0.125)  # |v|^2 is subnormal: v / |v| misses unit length by 6e-6
 def test_boost_from_velocity_reads_the_speed_that_np_linalg_norm_reads(v, c):
     v = np.array(v) * c  # |v| < 0.99 c
     speed = float(np.linalg.norm(v))
-    expected = boost_generator(v / speed, math.atanh(speed / c)) if speed else boost_from_velocity((0.0, 0.0, 0.0))
+    if speed == 0.0:
+        expected = boost_from_velocity((0.0, 0.0, 0.0))
+    elif v @ v < sys.float_info.min:  # |v|^2 is subnormal, so |v| is too coarse to divide v by: v is scaled up first
+        u = v / np.max(np.abs(v))
+        expected = boost_generator(u / np.linalg.norm(u), math.atanh(speed / c))
+    else:
+        expected = boost_generator(v / speed, math.atanh(speed / c))
     boost = boost_from_velocity(v, c)
     assert boost.nu0 == expected.nu0 and boost.nu.tobytes() == expected.nu.tobytes()
 

@@ -729,9 +729,11 @@ RETURNED_MEMORY = {
     # read out in place, the conjugate states grow the peak as sign +1 does, 0.93 times; a conjugated copy, 1.44
     "helical-sign-minus": (lambda blocks: runner_call("helical", gamma=0.04, omega=0.02, delta=0.0, dt=0.125,
                                                       t_max=128.0 * blocks, sign=-1), 1.2),
-    "pms": (lambda blocks: runner_call("pms", xi1=0.3, xi2=0.01, theta=0.15, n_blocks=1024 * blocks), 1.5),
-    # every case is transformed at once, and those temporaries are left: the peak grows about 2.6 times as much
-    "lorentz-check": (lambda blocks: runner_call("lorentz-check", n_cases=256 * blocks), 3.0),
+    # the table's states are the chain's own rows, 1.0 times; a stacked copy of the states and mid states, 1.375
+    "pms": (lambda blocks: runner_call("pms", xi1=0.3, xi2=0.01, theta=0.15, n_blocks=1024 * blocks), 1.1),
+    # drawn and transformed one block of cases at a time, 0.96 times; every case at once, in buffers sized for
+    # max_generators per case, 2.55
+    "lorentz-check": (lambda blocks: runner_call("lorentz-check", n_cases=256 * blocks), 1.2),
 }
 
 
@@ -1326,7 +1328,8 @@ def test_shipped_scenario_tables_keep_their_golden_digests(tmp_path):
 
 # documents the shipped scenarios leave out: a reversed readout, the other em cases, an empty chain, another
 # seed and rapidity; the longer tables span several of write_table's blocks, so that the block seams are pinned,
-# and pms-seam's chain crosses a block of pms_propagate's committed stations
+# pms-seam's chain crosses a block of pms_propagate's committed stations, and lorentz-blocks's cases cross a block
+# of lorentz-check's draws
 PINNED_DOCUMENTS = {
     "helical-sign-minus": {"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.005, "t_max": 120.0,
                            "dt": 0.1, "sign": -1},
@@ -1336,6 +1339,7 @@ PINNED_DOCUMENTS = {
     "pms-two-blocks": {"kind": "pms", "xi1": 0.25, "xi2": 0.02, "theta": 0.1, "n_blocks": 300},
     "pms-seam": {"kind": "pms", "xi1": 0.3, "xi2": 0.01, "theta": 0.15, "n_blocks": 1100},
     "lorentz-seed": {"kind": "lorentz-check", "n_cases": 200, "max_generators": 3, "rapidity_max": 7.5, "seed": 2024},
+    "lorentz-blocks": {"kind": "lorentz-check", "n_cases": 1500, "max_generators": 5},
     "resonance-seams": {"kind": "resonance-curve", "gamma": 0.04, "delta_min": -0.4, "delta_max": 0.4,
                         "n_points": 2000, "t_pass": 78.53981633974483},
 }
@@ -1346,6 +1350,8 @@ PINNED_DIGESTS = {
     ("em-point-charge", "json"): "b50985fda903dc5012365c5e85bce67292831049432e9d51b1dc01a68b40d41e",
     ("helical-sign-minus", "csv"): "e0f75e10897107e3afa02338080fe9b5592b7f8b914b78c0ad16736a090a11bd",
     ("helical-sign-minus", "json"): "aa9657e161e61947bfd064d549e347523b682771b8ca1ce1bccd353c831e5201",
+    ("lorentz-blocks", "csv"): "7a3f0ee6d4df0d2f8ce38c0b2895c56f777b8f7b9f2b49ae54643ba4964b14cb",
+    ("lorentz-blocks", "json"): "14a26248f7033b33acdafb0de95e4ca43cb3860ab54cfa4ed67f0c17a207d656",
     ("lorentz-seed", "csv"): "b1da291ec7d022600427735a3939138d51bc8a5c25f5d325af82322435b06307",
     ("lorentz-seed", "json"): "ea64b8b2f941b91ae531fd253dac0d89e884e605892c49cf2dd8aa3b462e656c",
     ("pms-no-blocks", "csv"): "404f87a465b6d1170990288d467e63db2f5b900e77355695e1a78b911517f4a9",
@@ -1364,6 +1370,8 @@ PINNED_SUMMARIES = {
     "helical-sign-minus": {"final_pz": 0.13810773638949725, "max_norm_drift": 4.440892098500626e-16},
     "lorentz-seed": {"max_closed_vs_conj": 1.4422967553679087e-14, "max_i1_rel_err": 1.5582241796744386e-15,
                      "max_i2_rel_err": 1.8935382436550138e-15, "max_w0_change": 263122046515.33173},
+    "lorentz-blocks": {"max_closed_vs_conj": 7.030385528242146e-15, "max_i1_rel_err": 4.7029835133343895e-15,
+                       "max_i2_rel_err": 1.27675647831893e-15, "max_w0_change": 131560.14248520762},
     "pms-no-blocks": {"closure_distance": 0.0, "resonant_geometry": 0.0},
     "pms-two-blocks": {"closure_distance": 0.4314701271802637, "resonant_geometry": 0.0},
     "pms-seam": {"closure_distance": 1.1193785747969087, "resonant_geometry": 0.0},
@@ -1374,6 +1382,7 @@ PINNED_SUMMARIES = {
 def test_pinned_documents_keep_their_golden_digests_and_summaries(tmp_path):
     assert PINNED_DOCUMENTS["resonance-seams"]["n_points"] > 3 * scenarios._BLOCK_ROWS
     assert PINNED_DOCUMENTS["pms-seam"]["n_blocks"] + 1 > quaternion._BLOCK
+    assert PINNED_DOCUMENTS["lorentz-blocks"]["n_cases"] > quaternion._BLOCK
     digests, summaries = {}, {}
     for name, doc in PINNED_DOCUMENTS.items():
         for fmt in ("csv", "json"):
