@@ -21,7 +21,6 @@ them is a plain negation.  Every kernel works row-wise on (..., 3) arrays.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,27 +126,26 @@ def boost_generator(m, rapidity: float) -> LorentzQuat:
     return LorentzQuat(*generator_batch(m, rapidity, True), kind=KIND_BOOST)
 
 
-@np.errstate(over="ignore")  # an overflowing |v|^2 is refused as |v| = inf
-def _velocity(v, c: float) -> tuple[np.ndarray, float, float]:
-    """(v, |v|^2, |v|) for a velocity 3-vector; ValueError unless 0 < c < inf, SuperluminalSpeed unless |v| < c."""
+def _velocity(v, c: float) -> tuple[float, np.ndarray]:
+    """(|v| / c, unit axis; z at rest) of velocity v; ValueError unless 0 < c < inf, SuperluminalSpeed unless |v| < c.
+
+    math.hypot reads |v| in one scaled pass, and the axis is v over its largest component, normalized: neither
+    underflows or overflows, and (v 2^k, c 2^k) reads as (v, c) while the components stay normal.
+    """
     _check_light_speed(c)
     v = np.asarray(v, dtype=float)
-    speed_sq = float(v @ v)
-    if not (speed := math.sqrt(speed_sq)) < c:  # np.linalg.norm's dot and sqrt, so its |v| bit for bit; NaN too
+    if not (speed := math.hypot(*v)) < c:  # NaN too
         raise SuperluminalSpeed(f"|v| = {speed!r} must be below c = {c!r}")
-    return v, speed_sq, speed
+    if speed == 0.0:  # rapidity 0 along any axis: nu0 = 1.0 and nu = +0.0
+        return 0.0, np.array([0.0, 0.0, 1.0])
+    axis = v / np.max(np.abs(v))
+    return speed / c, axis / math.hypot(*axis)
 
 
 def boost_from_velocity(v, c: float = 1.0) -> LorentzQuat:
     """Boost for velocity 3-vector v, |v| < c; rapidity = artanh(|v|/c).  c must be positive and finite."""
-    v, speed_sq, speed = _velocity(v, c)
-    if speed == 0.0:  # rapidity 0 along any axis: nu0 = 1.0 and nu = +0.0
-        return boost_generator((0.0, 0.0, 1.0), 0.0)
-    axis = v / speed
-    if speed_sq < sys.float_info.min:  # |v|^2 is subnormal, so |v| is too coarse to divide v by: scale v up first
-        axis = v / np.max(np.abs(v))
-        axis /= np.linalg.norm(axis)
-    return boost_generator(axis, math.atanh(speed / c))
+    beta, axis = _velocity(v, c)
+    return boost_generator(axis, math.atanh(beta))
 
 
 def transform_batch(nu0, nu, boost, f) -> np.ndarray:
@@ -213,25 +211,19 @@ def boost_field_closed(F, m, rapidity) -> np.ndarray:
 
 
 def eb_boost(e, b, v, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise boost of (E, B) by velocity v, |v| < c.
+    """Componentwise boost of (E, B) by velocity v = beta c n, |v| < c, n a unit axis:
 
-        E' = g E - (g - 1)(E.v) v / v^2 + (g/c) v x B
-        B' = g B - (g - 1)(B.v) v / v^2 - (g/c) v x E
+        E' = g E - (g - 1)(E.n) n + g beta n x B
+        B' = g B - (g - 1)(B.n) n - g beta n x E
 
-    with g = 1/sqrt(1 - (v/c)^2).  Both field invariants are preserved;
-    the energy density is not.  c must be positive and finite; a speed whose
-    1 - (v/c)^2 is not positive once c * c underflows raises ValueError.
+    with g = 1/sqrt(1 - beta^2).  Both field invariants are preserved;
+    the energy density is not.  c must be positive and finite.
     """
     e = np.asarray(e, dtype=float)
     b = np.asarray(b, dtype=float)
-    v, speed_sq, speed = _velocity(v, c)
-    if speed_sq == 0.0:
+    beta, n = _velocity(v, c)
+    if beta == 0.0:
         return e.copy(), b.copy()
-    inv_gamma_sq = 1.0 - speed_sq / (c * c)
-    if not inv_gamma_sq > 0.0:  # |v| < c, but c * c is subnormal and |v|^2 rounds to it
-        raise ValueError(f"1 - |v|^2 / c^2 = {inv_gamma_sq!r} is not positive for |v| = {speed!r} and c = {c!r}: "
-                         "c * c underflows")
-    g = 1.0 / math.sqrt(inv_gamma_sq)
-    e_out = g * e - (g - 1.0) * (e @ v) * v / speed_sq + (g / c) * np.cross(v, b)
-    b_out = g * b - (g - 1.0) * (b @ v) * v / speed_sq - (g / c) * np.cross(v, e)
-    return e_out, b_out
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    return (g * e - (g - 1.0) * (e @ n) * n + g * beta * np.cross(n, b),
+            g * b - (g - 1.0) * (b @ n) * n - g * beta * np.cross(n, e))

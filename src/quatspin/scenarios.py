@@ -8,7 +8,6 @@ scenario and seed reproduce byte-identical files.
 from __future__ import annotations
 
 import ctypes  # numpy imports it too, so it costs a run nothing
-import errno
 import math
 import os
 import stat
@@ -291,25 +290,16 @@ def _landed_by_exchange(tmp: str, path: str) -> bool:
     refused exchange get os.replace.
     """
     try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            _exchange(tmp, path)
-            return True
-    except OSError:  # no such name, one that os.replace reports, or a refused exchange (ENOSYS, EINVAL, ...)
-        pass
-    return False
-
-
-def _exchange(a: str, b: str):
-    """Swap the names a and b in one atomic step: renameat2(2) with RENAME_EXCHANGE.  OSError if refused."""
-    if _renameat2 is None:
-        raise OSError(errno.ENOSYS, "no renameat2 in this libc or on this platform", a, None, b)
-    if _renameat2(_AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE):
-        code = ctypes.get_errno()
-        raise OSError(code, os.strerror(code), a, None, b)
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # no such name, or one that os.replace reports
+        return False
+    # renameat2(2) with RENAME_EXCHANGE swaps the two names in one atomic step; nonzero if refused (ENOSYS, EINVAL)
+    return regular and _renameat2 is not None and _renameat2(
+        _AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0
 
 
 _AT_FDCWD, _RENAME_EXCHANGE = -100, 2  # <fcntl.h>, <linux/fs.h>; the flag is Linux 3.15's
-_renameat2 = getattr(ctypes.CDLL(None, use_errno=True) if sys.platform == "linux" else None, "renameat2", None)
+_renameat2 = getattr(ctypes.CDLL(None) if sys.platform == "linux" else None, "renameat2", None)
 if _renameat2 is not None:
     _renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
     _renameat2.restype = ctypes.c_int

@@ -33,7 +33,7 @@ class Scenario(namedtuple("Scenario", "kind params seed output fmt")):
 
 
 def parse_scenario_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines into a raw string-keyed dict."""
+    """Parse flat ``key = value`` lines into a raw dict of texts; validate_scenario reads each as its key's type."""
     raw = {}
     errors = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -50,25 +50,10 @@ def parse_scenario_text(text: str) -> dict:
         if key in raw:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        raw[key] = _parse_value(value)
+        raw[key] = value
     if errors:
         raise ConfigError(errors)
     return raw
-
-
-def _parse_value(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
 
 
 _Field = namedtuple("_Field", "name kind required default check expect", defaults=(True, None, None, ""))
@@ -125,13 +110,19 @@ KINDS = tuple(_SCHEMAS)
 
 
 def _coerce(field: _Field, value):
+    """Text read as its key's type (a float beyond the largest float as inf), a value of that type, or None."""
     if isinstance(value, bool):  # no field is a bool, and a bool is an int
         return None
-    if field.kind is float and isinstance(value, int):
-        return float(value)
-    if not isinstance(value, field.kind):
+    try:
+        if isinstance(value, str):
+            return field.kind(value)
+        if field.kind is float and isinstance(value, int):
+            return float(value)
+    except ValueError:  # not a literal of the type
         return None
-    return value
+    except OverflowError:  # an int beyond the largest float reads as its text does, and the key's check refuses it
+        return math.inf if value > 0 else -math.inf
+    return value if isinstance(value, field.kind) else None
 
 
 def _first_step_angle(v: dict) -> float:

@@ -57,7 +57,8 @@ t_pass = 78.53981633974483
 
 def test_parse_scenario_text():
     raw = parse_scenario_text("kind = pms  # the structure\n\nn_blocks = 21\nxi1 = 0.3\nflag = true\nname = run1\n")
-    assert raw == {"kind": "pms", "n_blocks": 21, "xi1": 0.3, "flag": True, "name": "run1"}
+    # each value stays text: validate_scenario reads it as its key's type
+    assert raw == {"kind": "pms", "n_blocks": "21", "xi1": "0.3", "flag": "true", "name": "run1"}
 
 
 def test_parse_scenario_text_rejects_malformed_lines():
@@ -100,6 +101,33 @@ def test_validate_output_must_be_a_bare_file_name(name):
     joined = " ".join(err.value.errors)
     assert "'output'" in joined and "bare file name" in joined
     assert "bogus" in joined and "xi2" in joined  # listed with every other problem
+
+
+@pytest.mark.parametrize("name", ["2024", "1e5", "nan", "true", "-0"])
+def test_validate_reads_a_number_like_output_as_the_bare_name_it_is(name):
+    assert validate_scenario(parse_scenario_text(f"{RESONANT_PMS}output = {name}\n")).output == name
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_validate_reads_an_int_beyond_the_largest_float_as_its_text_and_refuses_it_by_key(sign):
+    doc = {"kind": "pms", "xi1": sign * 10 ** 5000, "xi2": 0.01, "theta": 0.1, "n_blocks": 2}
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(doc)  # float() of the int raises OverflowError, and its repr has too many digits
+    assert err.value.errors == [f"key 'xi1': value {sign * math.inf!r} must be finite"]
+    with pytest.raises(ConfigError) as from_text:
+        validate_scenario(parse_scenario_text(RESONANT_PMS.replace("xi1 = 0.3", f"xi1 = {sign * 10 ** 400}")))
+    assert from_text.value.errors == err.value.errors  # the same digits as document text read alike
+    assert validate_scenario(dict(doc, xi1=3)).params["xi1"] == 3.0  # an int within range is promoted
+
+
+@pytest.mark.parametrize("key, value, kind", [("xi1", True, "float"), ("n_blocks", False, "int"),
+                                             ("n_blocks", 2.0, "int"), ("output", 5, "str")])
+def test_validate_refuses_a_library_value_not_of_its_keys_type(key, value, kind):
+    # a bool is refused though it is an int
+    doc = {"kind": "pms", "xi1": 0.3, "xi2": 0.01, "theta": 0.1, "n_blocks": 2, key: value}
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(doc)
+    assert err.value.errors == [f"key {key!r}: expected {kind}, got {value!r}"]
 
 
 def test_validate_aggregates_every_violation():
@@ -567,14 +595,11 @@ def exchange_works_in(directory) -> bool:
     a.write_bytes(b"a")
     b.write_bytes(b"b")
     try:
-        scenarios._exchange(str(a), str(b))
-    except OSError:
-        return False
+        return scenarios._landed_by_exchange(str(a), str(b))  # b is a regular file, so renameat2 is tried
     finally:
         assert b.read_bytes() in (b"a", b"b")  # swapped, or left as it was
         a.unlink()
         b.unlink()
-    return True
 
 
 def test_write_table_overwrite_does_not_call_os_replace_where_the_exchange_works(tmp_path, monkeypatch):
@@ -598,13 +623,13 @@ def test_write_table_lands_through_os_replace_when_the_exchange_is_refused(tmp_p
     target.write_bytes(b"earlier\n")
     refused = []
 
-    def refuse(a, b):
-        refused.append((a, b))
-        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+    def refuse(*args):
+        refused.append(args)
+        return -1  # as renameat2 fails, with errno set (EINVAL, ENOSYS, ...)
 
-    monkeypatch.setattr(scenarios, "_exchange", refuse)
+    monkeypatch.setattr(scenarios, "_renameat2", refuse)
     write_table(str(target), ("a", "b"), columns, "csv")
-    assert len(refused) == 1 and refused[0][1] == str(target)
+    assert len(refused) == 1 and refused[0][3] == os.fsencode(target)
     assert os.listdir(target.parent) == ["t.csv"]
     assert target.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -833,6 +858,18 @@ def test_cli_validate_reports_all_errors(tmp_path, capsys):
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
     assert "xi1" in err and "n_blocks" in err and "theta" in err
+
+
+def test_cli_reads_each_value_as_its_keys_type(tmp_path, capsys):
+    # a float key reads an integer literal beyond the largest float as inf, which its own check refuses
+    path = write_scenario(tmp_path, RESONANT_PMS.replace("xi1 = 0.3", "xi1 = 1" + "0" * 400))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: key 'xi1': "), err
+    # a text key keeps a number-like value as the text it is
+    path = write_scenario(tmp_path, f"{RESONANT_PMS}output = 2024\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    assert os.listdir(tmp_path / "out") == ["2024"]
 
 
 def test_cli_run(tmp_path, capsys):
@@ -1409,9 +1446,9 @@ FUZZ_COMMON = {"seed": "0", "output": "t.csv", "format": "csv"}
 # the difference of two values drawn from +-1e308 overflows, as a resonance-curve span can
 FUZZ_EXTREMES = ("1e308", "-1e308", "1e300", "-1e300", "1e-300", "5e-324", "-5e-324", "nan", "inf", "-inf", "0", "-0.0",
                  "1", "-1", "2", "5", "6", "12", "13", "50", "51", "1e-4", "0.25", "499999", "500000", "1000000",
-                 "1000001", "250000", "250001")
+                 "1000001", "250000", "250001", "1" + "0" * 400, "-1" + "0" * 400)
 FUZZ_WORDS = ("plane-wave", "point-charge", "constant", "csv", "json", "true", "t.json", "..", "../t.csv", "", "a b",
-              "t\0.csv")
+              "t\0.csv", "2024", "1e5", "nan")
 fuzz_garbage = (st.sampled_from(FUZZ_WORDS) | st.floats(-3.0, 3.0).map(repr) | st.integers(-2, 30).map(str)
                 | st.text(st.characters(exclude_characters="\r\n#"), max_size=6))
 
