@@ -1,11 +1,15 @@
 """Command-line front end: run scenario files, validate them, list kinds.
 
-Exit codes: 0 success, 2 configuration error (malformed, non-UTF-8, oversized
-or invalid scenario files, or parameters the library rejects), 3 I/O error,
-including stdout or stderr that cannot be written, or a run out of memory.
+  run SCENARIO [--out DIR] [--format {csv,json}] [--threads N]   run a scenario file and write its output table
+      into DIR (default: $QUATSPIN_OUT_DIR or '.'); N must be an integer >= 1, and is ignored
+  validate SCENARIO   check a scenario file and report every problem
+  list-kinds          print the recognized scenario kinds
+
+Options come before or after the scenario, as --opt VALUE or --opt=VALUE; the last of a repeated option counts, and
+-- ends them.  Exit codes: 0 success, 2 usage or configuration error (every problem of a scenario is listed), 3 I/O
+error, including stdout or stderr that cannot be written, or a run out of memory.
 """
 
-import argparse
 import os
 import sys
 
@@ -16,40 +20,58 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# each command's usage line; only run takes options, and each of them takes a value
+_USAGE = {None: "quatspin [-h] {run,validate,list-kinds} ...",
+          "run": f"quatspin run [-h] [--out DIR] [--format {{{','.join(FORMATS)}}}] [--threads N] SCENARIO",
+          "validate": "quatspin validate [-h] SCENARIO", "list-kinds": "quatspin list-kinds [-h]"}
 
-def _thread_count(text: str) -> int:
+
+def _is_thread_count(text: str) -> bool:
     try:
-        value = int(text)
+        return int(text) >= 1
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+        return False
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):
-        # usage, help and error text goes through _report too: argparse's own writer drops a failed write
-        if message and _report(file or sys.stderr, [message.removesuffix("\n")], EXIT_OK) == EXIT_IO:
-            raise SystemExit(EXIT_IO)
+def _parse(argv) -> tuple:
+    """The command, its scenario path (None for list-kinds) and its options {name: value}, read from argv as the
+    module's docstring says.  Help and a usage error end in SystemExit, after their lines are written."""
+    command, paths, options, tokens = None, [], {}, iter(argv)
 
+    def fail(message):
+        raise SystemExit(_report(sys.stderr, [f"usage: {_USAGE[command]}", f"quatspin: error: {message}"],
+                                 EXIT_CONFIG))
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="quatspin", description=__doc__)  # add_subparsers builds its parsers as _Parser too
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run a scenario file and write its output table")
-    run.add_argument("scenario", help="path to a flat key = value scenario file")
-    run.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-    run.add_argument("--threads", type=_thread_count, default=None, metavar="N",
-                     help="an integer >= 1, ignored: every sweep runs in the calling thread")
-    run.add_argument("--format", choices=FORMATS, default=None, help="override the scenario's output format")
-
-    val = sub.add_parser("validate", help="check a scenario file and report every problem")
-    val.add_argument("scenario", help="path to a scenario file")
-
-    sub.add_parser("list-kinds", help="print the recognized scenario kinds")
-    return parser
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise SystemExit(_report(sys.stdout, [f"usage: {_USAGE[command]}", "", *(__doc__ or "").splitlines()],
+                                     EXIT_OK))
+        if token == "--":
+            paths += tokens
+        elif token.startswith("-") and token != "-":
+            name, eq, value = token.partition("=")
+            if command != "run" or name not in ("--out", "--format", "--threads"):
+                fail(f"unrecognized arguments: {token}")
+            value = value if eq else next(tokens, None)
+            if value is None:
+                fail(f"argument {name}: expected one argument")
+            if name == "--format" and value not in FORMATS:
+                fail(f"argument --format: invalid choice: {value!r} (choose from {', '.join(map(repr, FORMATS))})")
+            if name == "--threads" and not _is_thread_count(value):
+                fail(f"argument --threads: must be an integer >= 1, got {value!r}")
+            options[name] = value
+        elif command is None and token not in _USAGE:
+            fail(f"argument command: invalid choice: {token!r} (choose from 'run', 'validate', 'list-kinds')")
+        elif command is None:
+            command = token
+        else:
+            paths.append(token)
+    wanted = int(command != "list-kinds")  # the one scenario path of run and validate
+    if command is None or len(paths) < wanted:
+        fail(f"the following arguments are required: {'scenario' if command else 'command'}")
+    if len(paths) > wanted:
+        fail(f"unrecognized arguments: {' '.join(paths[wanted:])}")
+    return command, (paths or [None])[0], options
 
 
 def _report(stream, lines, code: int) -> int:
@@ -78,32 +100,31 @@ def _config_error(err: ValueError) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command, path, options = _parse(sys.argv[1:] if argv is None else argv)
 
-    if args.command == "list-kinds":
+    if command == "list-kinds":
         return _report(sys.stdout, KINDS, EXIT_OK)
 
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = load_scenario(path)
     except OSError as err:
         return _report(sys.stderr, [f"error: cannot read scenario: {err}"], EXIT_IO)
     except ValueError as err:  # ConfigError, or UnicodeDecodeError for a non-UTF-8 file
         return _config_error(err)
 
-    if args.command == "validate":
-        return _report(sys.stdout, [f"ok: {args.scenario} is a valid {scenario.kind!r} scenario"], EXIT_OK)
+    if command == "validate":
+        return _report(sys.stdout, [f"ok: {path} is a valid {scenario.kind!r} scenario"], EXIT_OK)
 
-    if args.format and args.format != scenario.fmt:
-        output = scenario.output
-        stem, dot, ext = output.rpartition(".")
-        if dot and ext in FORMATS:
-            output = f"{stem}.{args.format}"
-        scenario = scenario._replace(output=output, fmt=args.format)
+    fmt = options.get("--format", scenario.fmt)
+    if fmt != scenario.fmt:  # a .csv or .json output name takes the format's extension
+        stem, dot, ext = scenario.output.rpartition(".")
+        output = f"{stem}.{fmt}" if dot and ext in FORMATS else scenario.output
+        scenario = scenario._replace(output=output, fmt=fmt)
 
     from .scenarios import run_scenario
 
     try:
-        report = run_scenario(scenario, out_dir=args.out or os.environ.get(OUT_DIR_ENV) or ".")
+        report = run_scenario(scenario, out_dir=options.get("--out") or os.environ.get(OUT_DIR_ENV) or ".")
     except OSError as err:
         return _report(sys.stderr, [f"error: {err}"], EXIT_IO)
     except MemoryError:  # no table lands, as after any other failed run
@@ -124,7 +145,7 @@ def entry():
     """
     try:
         code = main()
-    except SystemExit as stop:  # argparse exits itself, after --help or a usage error
+    except SystemExit as stop:  # after help or a usage error
         code = stop.code
     for stream in (sys.stdout, sys.stderr):  # _report flushed every line; a flush failing here still exits 3
         code = _report(stream, [], code)

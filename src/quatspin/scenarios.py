@@ -191,13 +191,8 @@ def _run_lorentz_check(scn: Scenario):
     return ("case", "name", "value"), columns, summary
 
 
-_RUNNERS = {
-    "pms": _run_pms,
-    "helical": _run_helical,
-    "resonance-curve": _run_resonance_curve,
-    "em-check": _run_em_check,
-    "lorentz-check": _run_lorentz_check,
-}
+_RUNNERS = {"pms": _run_pms, "helical": _run_helical, "resonance-curve": _run_resonance_curve,
+            "em-check": _run_em_check, "lorentz-check": _run_lorentz_check}
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +307,14 @@ def run_scenario(scn: Scenario, out_dir: str = ".") -> RunReport:
     for key in sorted(summary):  # refused by name before anything is written, as a table cell is
         if not math.isfinite(summary[key]):
             raise ValueError(f"summary key {key!r} holds a NaN or infinite value")
-    os.makedirs(out_dir, exist_ok=True)
+    heads = [out_dir]  # os.makedirs recurses once per missing level: here each call makes one, from the top
+    try:  # a path that the file system refuses as it stands (too long, or through a file) makes no level
+        os.stat(out_dir)
+    except FileNotFoundError:
+        while (head := os.path.dirname(heads[-1])) and not os.path.isdir(head):
+            heads.append(head)
+    for head in reversed(heads):
+        os.makedirs(head, exist_ok=True)
     path = os.path.join(out_dir, scn.output)
     write_table(path, names, columns, scn.fmt)
-    return RunReport(
-        scenario=scn,
-        summary=summary,
-        outputs=[path],
-        duration_s=time.perf_counter() - started,
-    )
+    return RunReport(scenario=scn, summary=summary, outputs=[path], duration_s=time.perf_counter() - started)

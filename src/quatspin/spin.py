@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import (
-    IDENTITY,
-    Quaternion,
-    _BLOCK,
-    _mul4,
-    _unit_norm_sq,
-    _unit_vector,
-    quat_to_rotation,
-    rotate_batch,
-)
+from .quaternion import IDENTITY, Quaternion, _BLOCK, _mul4, _unit_norm_sq, _unit_vector, quat_to_rotation, rotate_batch
 from .schema import MAX_STEPS  # integrate_spin's step cap, which the schema's helical check states once
 
 
@@ -228,10 +219,18 @@ def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: flo
     """RK4 step quaternions m_n (n, 4) for steps h from the start times; see integrate_spin."""
     sample_times = np.stack([starts, starts + 0.5 * h, starts + h], axis=1).ravel()
     # one call per block when field_fn carries sample(times) -> (n, 3), else one call per sample time
-    sample = getattr(field_fn, "sample", None) or (lambda times: [field_fn(t) for t in times.tolist()])
-    fields = np.asarray(sample(sample_times), dtype=float)
-    if fields.shape != (sample_times.size, 3):
-        raise ValueError(f"field_fn must return a 3-vector, got shape {fields.shape[1:]}")
+    sample = getattr(field_fn, "sample", None)
+    if sample:
+        fields = np.asarray(sample(sample_times), dtype=float)
+        if fields.shape != (sample_times.size, 3):
+            raise ValueError(f"field_fn must return a 3-vector, got shape {fields.shape[1:]}")
+    else:  # read 256 at a time: the cyclic GC starts a young collection once 700 more containers are alive
+        fields = np.empty((sample_times.size, 3))
+        for lo in range(0, sample_times.size, 256):
+            part = np.asarray([field_fn(t) for t in sample_times[lo : lo + 256].tolist()], dtype=float)
+            if part.shape != fields[lo : lo + 256].shape:
+                raise ValueError(f"field_fn must return a 3-vector, got shape {part.shape[1:]}")
+            fields[lo : lo + 256] = part
     if not np.isfinite(fields).all():  # the per-sample mask is built only to name the first bad sample
         i = int(np.argmax(~np.isfinite(fields).all(axis=1)))
         raise ValueError(f"field_fn returned a non-finite field at t = {float(sample_times[i])!r}")

@@ -793,10 +793,18 @@ COLLECTION_DOCUMENTS = {
     "em-check": {"kind": "em-check", "case": "point-charge", "n_levels": 12},
 }
 
-# the library calls that the runners make, called directly
+
+
+def math_field(t):
+    """The helical field as a plain callable, math only: one call, and one returned tuple, per sample time."""
+    return (-0.04 * math.cos(0.02 * t), -0.04 * math.sin(0.02 * t), 0.02)
+
+
+# the library calls that the runners make, called directly, and integrate_spin on a 1024-step plain callable
 COLLECTION_CALLS = {
     "integrate_spin": lambda: integrate_spin(helical_field(HelicalParams(0.04, 0.0, 0.02)), IDENTITY, (0.0, 625.0),
                                              0.125),
+    "integrate_spin-plain-callable": lambda: integrate_spin(math_field, IDENTITY, (0.0, 128.0), 0.125),
     "pms_propagate": lambda: pms_propagate(PmsConfig(3000, 0.3, 0.01, 0.15), [0.0, 0.0, 1.0]),
 }
 
@@ -925,6 +933,41 @@ def test_cli_non_finite_summary_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: ValueError: summary key 'peak_p_down' holds a NaN or infinite value\n"
     assert not (tmp_path / "out").exists()  # refused before the output directory is made
+
+
+def remove_chain(top: Path):
+    """Remove a chain of directories, each holding the next, from its deepest level up: shutil.rmtree recurses once
+    per level, as os.makedirs did."""
+    levels = [top] if top.is_dir() else []
+    while levels:
+        entries = list(levels[-1].iterdir())
+        for entry in entries:
+            if not entry.is_dir():
+                entry.unlink()
+        deeper = next((entry for entry in entries if entry.is_dir()), None)
+        if deeper is None:
+            break
+        levels.append(deeper)
+    for level in reversed(levels):
+        level.rmdir()
+
+
+def test_cli_deep_out_dir_is_made_one_level_at_a_time(tmp_path, capsys, monkeypatch):
+    # os.makedirs recurses once per missing level: both of these ended in a RecursionError traceback, exit 1
+    path = write_scenario(tmp_path, RESONANT_PMS)
+    monkeypatch.chdir(tmp_path)
+    try:
+        assert main(["run", path, "--out", "d/" * 3000]) == 3  # 6000 characters, more than a path may hold
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: ")
+        assert sorted(os.listdir(tmp_path)) == ["scn.txt"]  # refused before a level is made
+        monkeypatch.setenv("QUATSPIN_OUT_DIR", "e/" * 1200)  # 2400 characters, which the file system takes
+        assert main(["run", path]) == 0
+        assert os.listdir(tmp_path / ("e/" * 1200)) == ["pms.csv"]
+    finally:  # from the working directory: a level deeper than PATH_MAX is still reached by its relative path
+        remove_chain(Path("d"))
+        remove_chain(Path("e"))
 
 
 def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -1106,7 +1149,7 @@ def run_main(argv, stdout, stderr) -> int:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             return main(argv)
-        except SystemExit as stop:  # argparse exits itself, after a usage error or --help
+        except SystemExit as stop:  # main exits itself, after a usage error or help
             return stop.code
 
 
@@ -1203,7 +1246,6 @@ def refuse_hard_exit(code):
 @pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
 def test_cli_process_prints_all_main_prints_and_exits_with_its_code(tmp_path, monkeypatch, name):
     argv, _, code = output_case(tmp_path, name)
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
     streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
     with monkeypatch.context() as patch:
         patch.setattr(os, "_exit", refuse_hard_exit)
@@ -1546,3 +1588,142 @@ def test_cli_contract_holds_for_random_documents(text, fault):
                 except ValueError:
                     continue
                 assert math.isfinite(number), cell
+
+
+# ---------------------------------------------------------------------------
+# the command line's grammar: the command, then its scenario and options in any order
+
+
+# argv ("{scn}" is a valid scenario file), the usage line printed, and the one error line after it
+USAGE_ERRORS = {
+    "no-command": ([], "quatspin [-h] {run,validate,list-kinds} ...", "the following arguments are required: command"),
+    "unknown-command": (["bogus"], "quatspin [-h] {run,validate,list-kinds} ...",
+                        "argument command: invalid choice: 'bogus' (choose from 'run', 'validate', 'list-kinds')"),
+    "option-before-the-command": (["--out", "x", "run", "{scn}"], "quatspin [-h] {run,validate,list-kinds} ...",
+                                  "unrecognized arguments: --out"),
+    "run-without-a-scenario": (["run", "--threads", "2"], "quatspin run [-h] [--out DIR] [--format {csv,json}] "
+                               "[--threads N] SCENARIO", "the following arguments are required: scenario"),
+    "unknown-option": (["run", "{scn}", "--fast"], "quatspin run [-h] [--out DIR] [--format {csv,json}] "
+                       "[--threads N] SCENARIO", "unrecognized arguments: --fast"),
+    # argparse took an unambiguous prefix of an option; the parser takes whole names only
+    "abbreviated-option": (["run", "{scn}", "--fo", "json"], "quatspin run [-h] [--out DIR] [--format {csv,json}] "
+                           "[--threads N] SCENARIO", "unrecognized arguments: --fo"),
+    "format-xml": (["run", "{scn}", "--format", "xml"], "quatspin run [-h] [--out DIR] [--format {csv,json}] "
+                   "[--threads N] SCENARIO", "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    "threads-0": (["run", "--threads=0", "{scn}"], "quatspin run [-h] [--out DIR] [--format {csv,json}] "
+                  "[--threads N] SCENARIO", "argument --threads: must be an integer >= 1, got '0'"),
+    "missing-value": (["run", "{scn}", "--out"], "quatspin run [-h] [--out DIR] [--format {csv,json}] "
+                      "[--threads N] SCENARIO", "argument --out: expected one argument"),
+    "two-scenarios": (["validate", "{scn}", "b", "c"], "quatspin validate [-h] SCENARIO",
+                      "unrecognized arguments: b c"),
+    "option-of-run-after-validate": (["validate", "{scn}", "--out=x"], "quatspin validate [-h] SCENARIO",
+                                     "unrecognized arguments: --out=x"),
+    "list-kinds-with-an-argument": (["list-kinds", "pms"], "quatspin list-kinds [-h]", "unrecognized arguments: pms"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_cli_usage_error_prints_a_usage_line_and_one_error_line(tmp_path, monkeypatch, name):
+    argv, usage, error = USAGE_ERRORS[name]
+    scn = write_scenario(tmp_path, RESONANT_PMS)
+    monkeypatch.chdir(tmp_path)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as stop, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        main([arg.format(scn=scn) for arg in argv])
+    assert stop.value.code == 2
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue() == f"usage: {usage}\nquatspin: error: {error}\n"
+    assert os.listdir(tmp_path) == ["scn.txt"]
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "quatspin [-h]"),
+    (["--help", "bogus"], "quatspin [-h]"),
+    (["run", "--help"], "quatspin run [-h]"),
+    (["run", "{scn}", "--out", "out", "--format", "json", "-h"], "quatspin run [-h]"),
+    (["validate", "-h", "{scn}"], "quatspin validate [-h]"),
+    (["list-kinds", "--help"], "quatspin list-kinds [-h]"),
+])
+def test_cli_help_prints_the_commands_usage_then_the_grammar(tmp_path, monkeypatch, capsys, argv, usage):
+    scn = write_scenario(tmp_path, RESONANT_PMS)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        main([arg.format(scn=scn) for arg in argv])
+    assert stop.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: {usage}") and captured.err == ""
+    for command in ("run SCENARIO", "validate SCENARIO", "list-kinds", "--opt=VALUE", "Exit codes"):
+        assert command in captured.out
+    assert os.listdir(tmp_path) == ["scn.txt"]  # help ends the parse: nothing is run
+
+
+# each spelling writes pms.json: either form of an option, before or after the scenario, the last of a repeated one
+SPELLINGS = {
+    "after": ["run", "{scn}", "--out", "{out}", "--format", "json"],
+    "joined-before": ["run", "--out={out}", "--format=json", "{scn}"],
+    "repeated": ["run", "--format", "csv", "--out", "elsewhere", "{scn}", "--out={out}", "--format=json"],
+    "threads-and-end-of-options": ["run", "--threads", "2", "--out", "{out}", "--threads=3", "--format", "json",
+                                   "--", "{scn}"],
+}
+
+
+def test_cli_options_are_read_in_either_spelling_and_in_any_order(tmp_path, capsys):
+    scn = write_scenario(tmp_path, RESONANT_PMS)
+    tables = set()
+    for name, argv in SPELLINGS.items():
+        out = tmp_path / name
+        assert main([arg.format(scn=scn, out=out) for arg in argv]) == 0, capsys.readouterr().err
+        assert os.listdir(out) == ["pms.json"]
+        tables.add((out / "pms.json").read_bytes())
+    assert len(tables) == 1 and sorted(os.listdir(tmp_path)) == sorted([*SPELLINGS, "scn.txt"])
+
+
+def test_cli_double_dash_reads_what_follows_as_the_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("--format", "-h"):
+        write_scenario(tmp_path, RESONANT_PMS, name=name)
+    assert main(["validate", "--", "-h"]) == 0
+    assert capsys.readouterr().out == "ok: -h is a valid 'pms' scenario\n"
+    assert main(["run", "--out", "out", "--", "--format"]) == 0
+    assert os.listdir(tmp_path / "out") == ["pms.csv"]
+    assert main(["validate", "-"]) == 3  # a lone dash is a path too
+    assert capsys.readouterr().err.startswith("error: cannot read scenario: [Errno 2]")
+
+
+# the pieces a drawn argv is made of, each a list of tokens; paths are relative to the process's working directory,
+# which is the output directory: "../scn.txt" is a valid scenario, and as --out a regular file
+FUZZ_OPTION_VALUES = {"--out": [".", "sub", "", "../scn.txt"], "--format": ["csv", "json", "xml", ""],
+                      "--threads": ["1", "3", "0", "two", ""]}
+fuzz_argv = st.lists(st.one_of(
+    st.sampled_from([["run"], ["validate"], ["list-kinds"], ["-h"], ["--help"], ["--"], ["../scn.txt"],
+                     *([option] for option in FUZZ_OPTION_VALUES)]),  # an option whose value is missing
+    st.sampled_from([[option, value] for option, values in FUZZ_OPTION_VALUES.items() for value in values]),
+    st.sampled_from([[f"{option}={value}"] for option, values in FUZZ_OPTION_VALUES.items() for value in values]),
+    # any text, but no path that leads out of the working directory
+    st.text(max_size=6).filter(lambda text: "/" not in text and text != "..").map(lambda text: [text]),
+), max_size=7).map(lambda pieces: [token for piece in pieces for token in piece])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv)
+def test_cli_contract_holds_for_random_argv(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {"QUATSPIN_OUT_DIR": "env"}):
+        with open(os.path.join(root, "scn.txt"), "w", encoding="utf-8") as fh:
+            fh.write(RESONANT_PMS)
+        out = os.path.join(root, "out")
+        os.mkdir(out)
+        os.chdir(out)  # the --out of every run, given or not, is inside it
+        try:
+            code = run_main(argv, stdout, stderr)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3), (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        if code == 2 and stderr.getvalue().startswith("usage: "):
+            assert stdout.getvalue() == "" and len(stderr.getvalue().splitlines()) == 2
+            assert stderr.getvalue().splitlines()[1].startswith("quatspin: error: ")
+        assert sorted(os.listdir(root)) == ["out", "scn.txt"]
+        for parent, _, files in os.walk(out):
+            assert not [name for name in files if name.startswith(".quatspin-")], parent

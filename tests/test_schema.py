@@ -255,10 +255,11 @@ def test_resonance_overflow_check_matches_the_library(gamma, delta_min, delta_ma
 
 # ---------------------------------------------------------------------------
 # the command line imports numpy, and dataclasses with the inspect module it pulls in, only to run a valid scenario,
-# and a run imports only its kind's part of the library
+# and a run imports only its kind's part of the library; no command imports argparse, or the gettext and locale
+# modules that it pulls in
 
 HEAVY_IMPORTS = ("dataclasses", "inspect", "json", "numpy", "numpy.random", "quatspin.emfield", "quatspin.lorentz",
-                 "quatspin.spin")
+                 "quatspin.spin", "argparse", "gettext", "locale")
 # the process ends in os._exit, which runs no atexit hook: the probe reads sys.modules as that call is made
 PROBE = f"""\
 import os, runpy, sys
@@ -296,6 +297,8 @@ NUMPY_FREE = {
     "helical-phase-overflow": (["run"], b"kind = helical\ngamma = 0.04\ndelta = 1e308\nomega = 1e308\n"
                                b"t_max = 100\ndt = 10\n", 2),
     "missing-file": (["run"], None, 3),
+    "help": (["run", "--help"], None, 0),
+    "usage-error": (["run", "--threads", "0"], None, 2),
 }
 
 

@@ -427,6 +427,45 @@ def test_integrate_spin_rejects_non_finite_fields_naming_the_sample_time(bad):
         integrate_spin(lambda t: (bad if t == 0.75 else 0.1, 0.0, 0.0), IDENTITY, (0.0, 1.0), 0.5)
 
 
+class SampledAtOnce:
+    """A plain field callable, with a sample method that reads a whole block of sample times in one list."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, t):
+        return self.fn(t)
+
+    def sample(self, times):
+        return [self.fn(t) for t in times.tolist()]
+
+
+def test_integrate_spin_reads_a_plain_callable_in_chunks_with_the_bits_of_one_read():
+    def field(t):
+        return (-0.04 * math.cos(0.02 * t), -0.04 * math.sin(0.02 * t), 0.02)
+
+    # 1200 steps: a block of 3072 samples, read 256 at a time, then one of 528, which ends in a part of a chunk
+    plain = integrate_spin(field, IDENTITY, (0.0, 150.0), 0.125)
+    at_once = integrate_spin(SampledAtOnce(field), IDENTITY, (0.0, 150.0), 0.125)
+    assert plain.states.tobytes() == at_once.states.tobytes()
+    assert plain.times.tobytes() == at_once.times.tobytes()
+
+
+def test_integrate_spin_refuses_a_bad_sample_in_a_later_chunk():
+    # t = 100 starts step 800 of the first block: sample 2400, in its tenth chunk of 256
+    with pytest.raises(ValueError, match=r"^field_fn returned a non-finite field at t = 100\.0$"):
+        integrate_spin(lambda t: (math.nan if t == 100.0 else 0.01, 0.0, 0.0), IDENTITY, (0.0, 150.0), 0.125)
+    calls = []
+
+    def shrinking(t):  # a 2-vector from sample 2304 on, the first of the tenth chunk: the chunks before read well
+        calls.append(t)
+        return (0.01, 0.0) if len(calls) > 2304 else (0.01, 0.0, 0.0)
+
+    with pytest.raises(ValueError, match=r"^field_fn must return a 3-vector, got shape \(2,\)$"):
+        integrate_spin(shrinking, IDENTITY, (0.0, 150.0), 0.125)
+    assert len(calls) == 2560  # the tenth chunk was read whole, and none after it
+
+
 def test_integrate_spin_validation():
     with pytest.raises(InvalidTimeSpan):
         integrate_spin(lambda t: np.zeros(3), IDENTITY, (1.0, 1.0), 0.1)

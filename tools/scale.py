@@ -1,13 +1,16 @@
-"""Wall time and peak memory of one ``quatspin run`` per kind, at a fraction of the schema's size bounds.
+"""Start-up cost of ``quatspin``, then wall time and peak memory of one ``quatspin run`` per kind, at a fraction of
+the schema's size bounds.
 
-Each document runs in a fresh ``python -m quatspin.cli run`` process on the given ``src`` tree.  First the
-tool prints the peak RSS of a bare ``python -c "import numpy"``, the floor under every run, and the lines of
-Python in the ``src`` tree, as ``wc -l`` counts them; then, for each document, it prints the wall time, the
-child's peak resident set (``ru_maxrss``, from ``os.wait4``) and the size and sha256 of the table it wrote,
-so that two source trees can be compared table for table, with their code size beside.  Each
-document then runs twice more over its own table, and ``rewrite_s`` is the wall time of the second of those
-runs: the cost of landing a table on a name that holds one which the file system has already written out.  The
-tool stops if a rewritten table differs.  It uses the standard library only and is not part of the test suite.
+Each command runs in a fresh process on the given ``src`` tree.  First the tool prints two floors,
+``python -c "import os; os._exit(0)"`` and ``python -c "import numpy; os._exit(0)"``, then ``quatspin list-kinds``
+and ``quatspin validate`` of the pms document: for each, the median wall time and the median peak resident set
+(``VmHWM``, which the process reads itself as it exits) of STARTUP_RUNS processes, the four commands in turn.  It
+prints the lines of Python in the ``src`` tree, as ``wc -l`` counts them.  Then, for each document, it prints the
+wall time, the child's peak resident set (``ru_maxrss``, from ``os.wait4``) and the size and sha256 of the table it
+wrote, so that two source trees can be compared table for table, with their code size beside.  Each document then
+runs twice more over its own table, and ``rewrite_s`` is the wall time of the second of those runs: the cost of
+landing a table on a name that holds one which the file system has already written out.  The tool stops if a
+rewritten table differs.  It uses the standard library only and is not part of the test suite.
 
 Usage: python tools/scale.py [--fraction 0.1] [--src DIR]
 """
@@ -18,12 +21,14 @@ import argparse
 import glob
 import hashlib
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STARTUP_RUNS = 11  # processes per start-up line; their medians are printed
 
 # each kind's document at the fraction f of its size bound: n_blocks <= 499999, 10^6 helical steps
 # (MAX_STEPS; dt = 1/8 keeps t_max / dt exact), n_points <= 10^6, n_levels <= 12, n_cases <= 250000
@@ -70,6 +75,46 @@ def sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+# a start-up child reports its own peak resident set (VmHWM) as it calls os._exit: wait4's ru_maxrss would read at
+# least this tool's own peak, which fork and exec pass on to the child, and a bare start-up stays below it
+PEAK_AT_EXIT = """\
+import os
+def _exit(code, _hard_exit=os._exit):
+    with open("/proc/self/status") as fh:
+        os.write(2, "".join(line for line in fh if line.startswith("VmHWM:")).encode())
+    _hard_exit(code)
+os._exit = _exit
+"""
+QUATSPIN_CLI = "import runpy; runpy.run_module('quatspin.cli', run_name='__main__', alter_sys=True)"
+
+
+def startup(src: str, work: str, pms_text: str) -> list[tuple[str, float, float]]:
+    """(label, median wall time in ms, median peak RSS in MB) of the two floors, list-kinds and validate."""
+    scn = os.path.join(work, "startup.scn")
+    with open(scn, "w", encoding="utf-8") as fh:
+        fh.write(pms_text)
+    commands = {  # each ends in os._exit, as a quatspin process does: no interpreter teardown is timed
+        "python -c 'import os; os._exit(0)'": ["os._exit(0)"],
+        "python -c 'import numpy; os._exit(0)'": ["import numpy; os._exit(0)"],
+        "quatspin list-kinds": [QUATSPIN_CLI, "list-kinds"],
+        "quatspin validate (pms)": [QUATSPIN_CLI, "validate", scn],
+    }
+    walls, peaks = {label: [] for label in commands}, {label: [] for label in commands}
+    for _ in range(STARTUP_RUNS):  # the commands in turn, so that a drift in the host's speed reaches each alike
+        for label, (code, *argv) in commands.items():
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", PEAK_AT_EXIT + code, *argv],
+                                  env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True)
+            walls[label].append(time.perf_counter() - start)
+            if proc.returncode != 0 or not proc.stderr.startswith("VmHWM:"):
+                raise SystemExit(f"{label}: exit {proc.returncode}: {proc.stderr.strip()}")
+            peaks[label].append(int(proc.stderr.split()[1]) / 1024.0)  # VmHWM is in kB
+    lines = [(label, 1e3 * statistics.median(walls[label]), statistics.median(peaks[label])) for label in commands]
+    os.remove(scn)
+    return lines
+
+
 def run_one(src: str, text: str, fmt: str, work: str) -> dict:
     """Run one document in a fresh process, then twice more over its table; wall times, peak RSS, table digest."""
     scn = os.path.join(work, "doc.scn")
@@ -98,10 +143,12 @@ def main(argv=None) -> int:
     if not 0.0 < args.fraction <= 1.0:
         ap.error("--fraction must be in (0, 1]")
     src = os.path.abspath(args.src)
-    print(f"floor: peak_rss_mb {run_child(['-c', 'import numpy'], src)[1]:.1f} for python -c 'import numpy'")
-    print(f"src: {source_lines(src)} lines of Python in {src}")
-    print(f"{'kind':<16}{'format':<8}{'wall_s':>9}{'rewrite_s':>10}{'peak_rss_mb':>13}{'bytes':>12}  sha256")
     with tempfile.TemporaryDirectory() as work:
+        print(f"{f'start-up, median of {STARTUP_RUNS} processes':<40}{'wall_ms':>9}{'peak_rss_mb':>13}")
+        for label, wall_ms, peak_rss_mb in startup(src, work, DOCUMENTS["pms"](args.fraction)):
+            print(f"{label:<40}{wall_ms:>9.1f}{peak_rss_mb:>13.2f}", flush=True)
+        print(f"src: {source_lines(src)} lines of Python in {src}")
+        print(f"{'kind':<16}{'format':<8}{'wall_s':>9}{'rewrite_s':>10}{'peak_rss_mb':>13}{'bytes':>12}  sha256")
         for kind, document in DOCUMENTS.items():
             for fmt in ("csv", "json"):
                 r = run_one(src, document(args.fraction), fmt, work)
