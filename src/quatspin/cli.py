@@ -38,7 +38,8 @@ def _parse(argv) -> tuple:
     module's docstring says.  Help and a usage error end in SystemExit, after their lines are written."""
     command, paths, options, tokens = None, [], {}, iter(argv)
 
-    def fail(message):
+    def fail(message):  # a line break that str.splitlines sees in a token is written escaped: one error line
+        message = message.translate({ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
         raise SystemExit(_report(sys.stderr, [f"usage: {_USAGE[command]}", f"quatspin: error: {message}"],
                                  EXIT_CONFIG))
 

@@ -19,12 +19,11 @@ which every function refuses unless 0 < c < inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 import numpy as np
 
-from .quaternion import ETA_0, ETA_X, ETA_Y, ETA_Z
+from .quaternion import ETA_0, ETA_X, ETA_Y, ETA_Z, _checked_make
 
 FOUR_PI = 4.0 * math.pi
 
@@ -33,38 +32,36 @@ class DegenerateStep(ValueError):
     """Finite-difference step is zero, negative or NaN."""
 
 
-@dataclass(frozen=True)
-class FourPotential:
-    """Scalar potential phi(t,x,y,z) and vector potential a(t,x,y,z) -> 3-vector."""
+class FourPotential(namedtuple("FourPotential", "phi a")):
+    """Scalar potential phi(t, x, y, z) -> float and vector potential a(t, x, y, z) -> 3-vector."""
 
-    phi: Callable[[float, float, float, float], float]
-    a: Callable[[float, float, float, float], np.ndarray]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmFieldSample:
+class EmFieldSample(namedtuple("EmFieldSample", "e b")):
     """Electric and magnetic field 3-vectors at one spacetime point, or equal-shape (..., 3) batches."""
 
-    e: np.ndarray
-    b: np.ndarray
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.e.shape[-1:] != (3,) or self.e.shape != self.b.shape:
+    def __new__(cls, e, b):
+        e, b = np.asarray(e, dtype=float), np.asarray(b, dtype=float)
+        if e.shape[-1:] != (3,) or e.shape != b.shape:
             raise ValueError("e and b must be 3-vectors or equal-shape (..., 3) batches")
+        return super().__new__(cls, e, b)
 
 
-@dataclass(frozen=True)
-class EmTensor:
+class EmTensor(namedtuple("EmTensor", "f")):
     """Complex field triple f_k = B_k - i E_k (or a (..., 3) batch) with its 4x4 matrix view."""
 
-    f: np.ndarray
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=complex))
-        if self.f.shape[-1:] != (3,):
+    def __new__(cls, f):
+        f = np.asarray(f, dtype=complex)
+        if f.shape[-1:] != (3,):
             raise ValueError("f must be a complex 3-vector or a (..., 3) batch")
+        return super().__new__(cls, f)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -81,38 +78,29 @@ class EmTensor:
         return EmFieldSample(e=-np.imag(self.f), b=np.real(self.f))
 
 
-@dataclass(frozen=True)
-class FourCurrent:
+class FourCurrent(namedtuple("FourCurrent", "rho j")):
     """Charge density rho and current density 3-vector j."""
 
-    rho: float
-    j: np.ndarray
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        object.__setattr__(self, "j", np.asarray(self.j, dtype=float))
-        if self.j.shape != (3,):
+    def __new__(cls, rho, j):
+        j = np.asarray(j, dtype=float)
+        if j.shape != (3,):
             raise ValueError("j must be a 3-vector")
+        return super().__new__(cls, rho, j)
 
 
 ZERO_CURRENT = FourCurrent(rho=0.0, j=np.zeros(3))
 
 
-@dataclass(frozen=True)
-class MaxwellResidual:
-    """The four law residuals: div B, Faraday, Ampere, div E - 4 pi rho."""
+class MaxwellResidual(namedtuple("MaxwellResidual", "gauss_b faraday ampere gauss_e")):
+    """The four law residuals: div B (float), Faraday and Ampere (3-vectors), div E - 4 pi rho (float)."""
 
-    gauss_b: float
-    faraday: np.ndarray
-    ampere: np.ndarray
-    gauss_e: float
+    __slots__ = ()
 
     def max_abs(self) -> float:
-        return max(
-            abs(self.gauss_b),
-            float(np.max(np.abs(self.faraday))),
-            float(np.max(np.abs(self.ampere))),
-            abs(self.gauss_e),
-        )
+        return max(float(np.max(np.abs(part))) for part in self)
 
 
 # ---------------------------------------------------------------------------

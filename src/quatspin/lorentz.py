@@ -21,12 +21,12 @@ them is a plain negation.  Every kernel works row-wise on (..., 3) arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .emfield import EmFieldSample, EmTensor, _check_light_speed
-from .quaternion import ETA_0, ETA_X, ETA_Y, ETA_Z, NonUnitAxis, UNIT_TOL_INPUT, _mul4
+from .quaternion import ETA_0, ETA_X, ETA_Y, ETA_Z, NonUnitAxis, UNIT_TOL_INPUT, _checked_make, _mul4
 
 KIND_ROTATION = "rotation"
 KIND_BOOST = "boost"
@@ -74,22 +74,21 @@ def _realized(nu, boost) -> np.ndarray:
     return np.where(np.asarray(boost)[..., None], 1j * nu, nu)
 
 
-@dataclass(frozen=True)
-class LorentzQuat:
+class LorentzQuat(namedtuple("LorentzQuat", "nu0 nu kind")):
     """Generator coefficients (nu0, nu) plus the kind that fixes realization."""
 
-    nu0: float
-    nu: np.ndarray
-    kind: str
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
-        if self.nu.shape != (3,):
+    def __new__(cls, nu0, nu, kind):
+        nu = np.asarray(nu, dtype=float)
+        if nu.shape != (3,):
             raise ValueError("nu must be a 3-vector")
-        if self.kind not in (KIND_ROTATION, KIND_BOOST):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "nu0", float(self.nu0))
-        _check_constraint(self.nu0, self.nu, self.kind == KIND_BOOST)
+        if kind not in (KIND_ROTATION, KIND_BOOST):
+            raise ValueError(f"unknown kind {kind!r}")
+        nu0 = float(nu0)
+        _check_constraint(nu0, nu, kind == KIND_BOOST)
+        return super().__new__(cls, nu0, nu, kind)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -17,7 +17,7 @@ paths apply _mul4 to component arrays and rotate_batch to (..., 4) rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -73,14 +73,14 @@ SIGMA_Y = _const([[0, -1j], [1j, 0]], complex)
 SIGMA_Z = _const([[1, 0], [0, -1]], complex)
 
 
-@dataclass(frozen=True)
-class Quaternion:
+# _replace builds by _make, which skips __new__: a value type whose __new__ checks its fields sets this as _make
+_checked_make = classmethod(lambda cls, values: cls(*values))
+
+
+class Quaternion(namedtuple("Quaternion", "s0 sx sy sz")):
     """Real quaternion (s0, sx, sy, sz); doubles as a spin-1/2 state vector."""
 
-    s0: float
-    sx: float
-    sy: float
-    sz: float
+    __slots__ = ()
 
     @classmethod
     def from_array(cls, a) -> "Quaternion":
@@ -90,7 +90,7 @@ class Quaternion:
         return cls(*a.tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.s0, self.sx, self.sy, self.sz], dtype=float)
+        return np.array(self, dtype=float)
 
     def norm_sq(self) -> float:
         return self.s0 * self.s0 + self.sx * self.sx + self.sy * self.sy + self.sz * self.sz
@@ -114,12 +114,10 @@ class Quaternion:
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Spinor2:
+class Spinor2(namedtuple("Spinor2", "up down")):
     """Two complex spin amplitudes (up, down)."""
 
-    up: complex
-    down: complex
+    __slots__ = ()
 
     def norm_sq(self) -> float:
         return abs(self.up) ** 2 + abs(self.down) ** 2
@@ -142,7 +140,7 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
 
     Norm is multiplicative: |a (x) b| = |a| |b|.
     """
-    return Quaternion(*_mul4((a.s0, a.sx, a.sy, a.sz), (b.s0, b.sx, b.sy, b.sz)))
+    return Quaternion(*_mul4(a, b))
 
 
 def to_eta(q: Quaternion) -> np.ndarray:
@@ -152,7 +150,7 @@ def to_eta(q: Quaternion) -> np.ndarray:
     column of the result is the coefficient vector itself.
     """
     # the four eta matrices have disjoint supports, so each entry is one signed component
-    s0, sx, sy, sz = q.s0, q.sx, q.sy, q.sz
+    s0, sx, sy, sz = q
     return np.array([[s0, -sx, -sy, -sz], [sx, s0, sz, -sy], [sy, -sz, s0, sx], [sz, sy, -sx, s0]], dtype=float)
 
 
@@ -218,7 +216,7 @@ def quat_to_rotation(q: Quaternion) -> np.ndarray:
     Raises NonUnitQuaternion if |q|^2 deviates from 1 by more than 1e-9.
     """
     # the images of the basis vectors are exactly the columns
-    return rotate_batch(q.as_array(), np.eye(3)).T
+    return rotate_batch(q, np.eye(3)).T
 
 
 def rotate_batch(q, p) -> np.ndarray:

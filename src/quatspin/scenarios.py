@@ -13,7 +13,7 @@ import os
 import stat
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -23,14 +23,10 @@ from .quaternion import _BLOCK, rotate_batch
 from .schema import FORMATS, Scenario, load_scenario  # noqa: F401
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Echo of the scenario plus summary statistics and the emitted files."""
+class RunReport(namedtuple("RunReport", "scenario summary outputs duration_s")):
+    """Echo of the scenario, its summary statistics {name: float}, the emitted files and the run's duration in s."""
 
-    scenario: Scenario
-    summary: dict
-    outputs: list[str]
-    duration_s: float
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         summary = [f"{key}: {self.summary[key]!r}" for key in sorted(self.summary)]
@@ -119,11 +115,9 @@ def _run_em_check(scn: Scenario):
     fld, point = _em_case(p["case"])
     steps = [p["h0"] / 2.0**i for i in range(p["n_levels"])]
 
-    def level(h: float):
-        res = emfield.maxwell_residual(fld, None, point, h)
-        wave = emfield.wave_residual(fld, point, h)
-        return [abs(res.gauss_b), float(np.max(np.abs(res.faraday))), float(np.max(np.abs(res.ampere))),
-                abs(res.gauss_e), float(np.max(np.abs(wave)))]
+    def level(h: float):  # the largest |residual| of each law, in MaxwellResidual's order, then of the wave equation
+        parts = (*emfield.maxwell_residual(fld, None, point, h), emfield.wave_residual(fld, point, h))
+        return [float(np.max(np.abs(part))) for part in parts]
 
     names = ("gauss_b", "faraday", "ampere", "gauss_e", "wave")  # level's order
     table = [level(h) for h in steps]
@@ -243,7 +237,8 @@ def write_table(path: str, names, columns, fmt: str):
 
     The table is written to a temporary file in path's directory, then landed on path: by an exchange of the
     two names if path is a regular file already, else by os.replace.  A reader sees the earlier table or the
-    whole new one, and a failed write leaves the earlier table and no temporary file.  Nothing is fsynced.
+    whole new one, and a failed write leaves the earlier table and no temporary file.  If the exchange leaves the
+    earlier table under the temporary name and it cannot be removed, the OSError says so.  Nothing is fsynced.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format {fmt!r} is not one of {', '.join(FORMATS)}")
@@ -273,7 +268,10 @@ def write_table(path: str, names, columns, fmt: str):
     except BaseException:
         os.remove(tmp)
         raise
-    os.remove(tmp)  # the earlier table, which the exchange left under the temporary name
+    try:
+        os.remove(tmp)  # the earlier table, which the exchange left under the temporary name
+    except OSError as err:  # still an I/O error, but the new table has landed
+        raise OSError(err.errno, f"{path!r} landed, but the earlier table is left in {tmp!r}: {err.strerror}") from err
 
 
 def _landed_by_exchange(tmp: str, path: str) -> bool:
@@ -303,17 +301,19 @@ if _renameat2 is not None:
 def run_scenario(scn: Scenario, out_dir: str = ".") -> RunReport:
     """Execute a validated scenario and write its output table."""
     started = time.perf_counter()
-    names, columns, summary = _RUNNERS[scn.kind](scn)
-    for key in sorted(summary):  # refused by name before anything is written, as a table cell is
-        if not math.isfinite(summary[key]):
-            raise ValueError(f"summary key {key!r} holds a NaN or infinite value")
     heads = [out_dir]  # os.makedirs recurses once per missing level: here each call makes one, from the top
-    try:  # a path that the file system refuses as it stands (too long, or through a file) makes no level
+    try:  # a path that the file system refuses as it stands (too long, or through a file) is refused before the run
         os.stat(out_dir)
     except FileNotFoundError:
         while (head := os.path.dirname(heads[-1])) and not os.path.isdir(head):
             heads.append(head)
-    for head in reversed(heads):
+    else:  # and so is one that is there but is not a directory: os.makedirs raises FileExistsError for it
+        os.makedirs(out_dir, exist_ok=True)
+    names, columns, summary = _RUNNERS[scn.kind](scn)
+    for key in sorted(summary):  # refused by name before anything is written, as a table cell is
+        if not math.isfinite(summary[key]):
+            raise ValueError(f"summary key {key!r} holds a NaN or infinite value")
+    for head in reversed(heads):  # the missing levels, made once the summary holds
         os.makedirs(head, exist_ok=True)
     path = os.path.join(out_dir, scn.output)
     write_table(path, names, columns, scn.fmt)

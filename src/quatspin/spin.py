@@ -15,11 +15,12 @@ Everything works in phase units: fields enter only through angular rates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .quaternion import IDENTITY, Quaternion, _BLOCK, _mul4, _unit_norm_sq, _unit_vector, quat_to_rotation, rotate_batch
+from .quaternion import (IDENTITY, Quaternion, _BLOCK, _checked_make, _mul4, _unit_norm_sq, _unit_vector,
+                         quat_to_rotation, rotate_batch)
 from .schema import MAX_STEPS  # integrate_spin's step cap, which the schema's helical check states once
 
 
@@ -51,8 +52,7 @@ class EmptyRange(ValueError):
     """Sweep grid has fewer than two points."""
 
 
-@dataclass(frozen=True)
-class PmsConfig:
+class PmsConfig(namedtuple("PmsConfig", "n_blocks xi1 xi2 theta")):
     """Periodic magnetic structure: n_blocks pairs of (bar, film).
 
     xi1, xi2 are the precession phases picked up in one bar and one film;
@@ -60,52 +60,46 @@ class PmsConfig:
     when 2 * n_blocks * theta = 2 pi.
     """
 
-    n_blocks: int
-    xi1: float
-    xi2: float
-    theta: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if self.n_blocks < 0:
+    def __new__(cls, n_blocks, xi1, xi2, theta):
+        if n_blocks < 0:
             raise ValueError("n_blocks must be >= 0")
-        for name in ("xi1", "xi2", "theta"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in zip(cls._fields[1:], (xi1, xi2, theta)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        return super().__new__(cls, n_blocks, xi1, xi2, theta)
 
     def is_resonant(self, tol: float = 1e-9) -> bool:
         return abs(2.0 * self.n_blocks * self.theta - 2.0 * math.pi) < tol
 
 
-@dataclass(frozen=True)
-class HelicalParams:
+class HelicalParams(namedtuple("HelicalParams", "gamma_width delta_detune omega_drive")):
     """Resonance parameters: width gamma_width, detuning delta_detune, drive omega_drive."""
 
-    gamma_width: float
-    delta_detune: float
-    omega_drive: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        for name in ("gamma_width", "delta_detune", "omega_drive"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, gamma_width, delta_detune, omega_drive):
+        for name, value in zip(cls._fields, (gamma_width, delta_detune, omega_drive)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.gamma_width < 0.0:
+        if gamma_width < 0.0:
             raise ValueError("gamma_width must be >= 0")
-        if self.gamma_width == 0.0 and self.delta_detune == 0.0:
+        if gamma_width == 0.0 and delta_detune == 0.0:
             raise DegenerateParams("gamma_width and delta_detune cannot both vanish")
+        return super().__new__(cls, gamma_width, delta_detune, omega_drive)
 
     @property
     def rabi_rate(self) -> float:
         return math.hypot(self.gamma_width, self.delta_detune)
 
 
-@dataclass(frozen=True)
-class HelicalFieldSpec:
+class HelicalFieldSpec(namedtuple("HelicalFieldSpec", "b_transverse bz_axial omega_drive gyromagnetic")):
     """Physical helical field: transverse amplitude b, axial bz, drive omega, gyromagnetic ratio."""
 
-    b_transverse: float
-    bz_axial: float
-    omega_drive: float
-    gyromagnetic: float
+    __slots__ = ()
 
     @property
     def omega_star(self) -> float:
@@ -118,37 +112,30 @@ class HelicalFieldSpec:
         return math.atan2(self.b_transverse, self.bz_axial)
 
 
-@dataclass(frozen=True)
-class SpinTrajectory:
+class SpinTrajectory(namedtuple("SpinTrajectory", "times states polar mid_states", defaults=(None, None))):
     """Time-stamped sequence of unit spin states, optionally with arrow pairs.
 
     states has shape (n, 4); polar, when present, has shape (n, 2, 3) holding
     (P_n, P_n_mid) where P_n_mid is the arrow tip after the next bar, and
-    mid_states (n, 4) holds the states that P_n_mid is read from.
+    mid_states (n, 4) holds the states that P_n_mid is read from.  Its len()
+    is n, the number of states, not the four fields that it unpacks to.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    polar: np.ndarray | None = None
-    mid_states: np.ndarray | None = None
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+    def __new__(cls, times, states, polar=None, mid_states=None):
+        times, states = np.asarray(times, dtype=float), np.asarray(states, dtype=float)
         if times.ndim != 1 or states.shape != (times.size, 4):
             raise ValueError("times must be (n,), states (n, 4)")
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
         _unit_norm_sq(states)
-        for name, tail in (("polar", (2, 3)), ("mid_states", (4,))):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=float)
-                object.__setattr__(self, name, value)
-                if value.shape != (times.size, *tail):
-                    raise ValueError(f"{name} must have shape (n, {', '.join(map(str, tail))})")
+        polar, mid_states = (None if value is None else np.asarray(value, dtype=float) for value in (polar, mid_states))
+        for name, value, tail in (("polar", polar, (2, 3)), ("mid_states", mid_states, (4,))):
+            if value is not None and value.shape != (times.size, *tail):
+                raise ValueError(f"{name} must have shape (n, {', '.join(map(str, tail))})")
+        return super().__new__(cls, times, states, polar, mid_states)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -198,8 +185,8 @@ def pms_propagate(cfg: PmsConfig, p0) -> SpinTrajectory:
 
 def _pms_chain(cfg: PmsConfig) -> np.ndarray:
     """The (n_blocks + 1, 2, 4) stations of pms_propagate: q, then mid = u1 (x) q, for n = 0..n_blocks."""
-    u1, u2 = (g.as_array().tolist() for g in pms_block_generators(cfg, 0))
-    q, chain = IDENTITY.as_array().tolist(), np.empty((cfg.n_blocks + 1, 2, 4))
+    u1, u2 = map(tuple, pms_block_generators(cfg, 0))  # plain tuples: _mul4 unpacks them on its fast path
+    q, chain = IDENTITY, np.empty((cfg.n_blocks + 1, 2, 4))
     for lo in range(0, cfg.n_blocks + 1, _BLOCK):
         flat = []  # q then mid, eight floats per station: one commit per block, and never a whole chain of floats
         for _ in range(min(_BLOCK, cfg.n_blocks + 1 - lo)):
@@ -287,14 +274,14 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
     ratio = (t1 - t0) / dt - 1e-12
     if not ratio <= MAX_STEPS:
         raise InvalidTimeSpan(f"span ({t0}, {t1}) with dt {dt} needs more than MAX_STEPS = {MAX_STEPS} steps")
-    _unit_norm_sq(s0.as_array())
+    _unit_norm_sq(s0)
 
     n_steps = max(1, math.ceil(ratio))
     times = np.concatenate([[t0], t0 + np.arange(1, n_steps) * dt, [t1]])
     starts = times[:-1]
     h = np.minimum(dt, t1 - starts)
     states = np.empty((n_steps + 1, 4))
-    states[0] = s = s0.normalized().as_array().tolist()
+    states[0] = s = s0.normalized().as_array().tolist()  # floats: a float32 field would keep every step in float32
     for lo in range(0, n_steps, _BLOCK):
         m = _step_quaternions(field_fn, starts[lo : lo + _BLOCK], h[lo : lo + _BLOCK], coupling)
         flat = []  # four floats per state, as pms_propagate commits: no container per step is kept alive

@@ -31,7 +31,7 @@ from quatspin.emfield import (
     maxwell_residual,
     wave_residual,
 )
-from quatspin.lorentz import KIND_BOOST, SuperluminalSpeed, boost_from_velocity, eb_boost
+from quatspin.lorentz import KIND_BOOST, LorentzQuat, SuperluminalSpeed, boost_from_velocity, eb_boost
 from quatspin.quaternion import (
     UNIT_TOL_INPUT,
     NonUnitAxis,
@@ -210,9 +210,9 @@ def test_each_boost_refuses_a_speed_that_is_not_below_c(name, v, speed):
 
 def boost_bits(result) -> tuple:
     """The bytes of a boost's generator, or of the fields eb_boost returns."""
-    if isinstance(result, tuple):
-        return tuple(x.tobytes() for x in result)
-    return np.float64(result.nu0).tobytes(), result.nu.tobytes()
+    if isinstance(result, LorentzQuat):  # a named tuple: tested first, as the fields' pair is a tuple too
+        return np.float64(result.nu0).tobytes(), result.nu.tobytes()
+    return tuple(x.tobytes() for x in result)
 
 
 def normal(x: float) -> bool:

@@ -1109,6 +1109,48 @@ def test_cli_unwritable_out_is_an_io_error(tmp_path, capsys, name):
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before  # no temporary file left behind
 
 
+# an --out that the file system refuses as it stands, however the scenario's run would go
+UNUSABLE_OUT = {
+    "names-a-file": (lambda out: out, "[Errno 17] File exists"),
+    "passes-through-a-file": (lambda out: out / "sub" / "dir", "[Errno 20] Not a directory"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_OUT))
+def test_cli_unusable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch, name):
+    below, message = UNUSABLE_OUT[name]
+    # so a document whose summary is not finite exits 3 here too, not 2
+    monkeypatch.setitem(scenarios._RUNNERS, "pms", lambda scn: pytest.fail("the runner was called"))
+    path = write_scenario(tmp_path, RESONANT_PMS)
+    (tmp_path / "out").write_text("")
+    assert main(["run", path, "--out", str(below(tmp_path / "out"))]) == 3
+    assert capsys.readouterr().err == f"error: {message}: {str(below(tmp_path / 'out'))!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["out", "scn.txt"] and (tmp_path / "out").read_text() == ""
+
+
+def test_cli_says_the_table_landed_when_the_earlier_one_cannot_be_removed(tmp_path, capsys, monkeypatch):
+    if not exchange_works_in(tmp_path):
+        pytest.skip("no renameat2 RENAME_EXCHANGE here (not Linux, or a file system without it)")
+    path, out = write_scenario(tmp_path, RESONANT_PMS), tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    table = (out / "pms.csv").read_bytes()
+    (out / "pms.csv").write_bytes(b"earlier\n")
+    remove = os.remove
+
+    def failing_remove(name, *args, **kwargs):
+        if os.path.basename(name).startswith(".quatspin-"):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), name)
+        return remove(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", failing_remove)
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(out)]) == 3
+    [left] = [name for name in os.listdir(out) if name != "pms.csv"]
+    assert (out / "pms.csv").read_bytes() == table and (out / left).read_bytes() == b"earlier\n"
+    assert capsys.readouterr() == ("", f"error: [Errno 5] {str(out / 'pms.csv')!r} landed, but the earlier table is "
+                                       f"left in {str(out / left)!r}: Input/output error\n")
+
+
 def exhausted_encoder(names, columns):
     yield ",".join(names) + "\n"
     raise MemoryError
@@ -1619,6 +1661,10 @@ USAGE_ERRORS = {
     "option-of-run-after-validate": (["validate", "{scn}", "--out=x"], "quatspin validate [-h] SCENARIO",
                                      "unrecognized arguments: --out=x"),
     "list-kinds-with-an-argument": (["list-kinds", "pms"], "quatspin list-kinds [-h]", "unrecognized arguments: pms"),
+    # each character that str.splitlines breaks a line at is written escaped, so that the error stays one line
+    "line-breaks-in-a-token": (["run", "{scn}", "\x1e", "a\nb\r\x0b\x0c\x1c\x1d\x85\u2028\u2029"],
+                               "quatspin run [-h] [--out DIR] [--format {csv,json}] [--threads N] SCENARIO",
+                               "unrecognized arguments: \\x1e a\\nb\\r\\x0b\\x0c\\x1c\\x1d\\x85\\u2028\\u2029"),
 }
 
 

@@ -1,16 +1,17 @@
 """Start-up cost of ``quatspin``, then wall time and peak memory of one ``quatspin run`` per kind, at a fraction of
 the schema's size bounds.
 
-Each command runs in a fresh process on the given ``src`` tree.  First the tool prints two floors,
-``python -c "import os; os._exit(0)"`` and ``python -c "import numpy; os._exit(0)"``, then ``quatspin list-kinds``
-and ``quatspin validate`` of the pms document: for each, the median wall time and the median peak resident set
-(``VmHWM``, which the process reads itself as it exits) of STARTUP_RUNS processes, the four commands in turn.  It
-prints the lines of Python in the ``src`` tree, as ``wc -l`` counts them.  Then, for each document, it prints the
-wall time, the child's peak resident set (``ru_maxrss``, from ``os.wait4``) and the size and sha256 of the table it
-wrote, so that two source trees can be compared table for table, with their code size beside.  Each document then
-runs twice more over its own table, and ``rewrite_s`` is the wall time of the second of those runs: the cost of
-landing a table on a name that holds one which the file system has already written out.  The tool stops if a
-rewritten table differs.  It uses the standard library only and is not part of the test suite.
+Each command runs in a fresh process on the given ``src`` tree, and reads its own peak resident set (``VmHWM``) as
+it exits.  First the tool prints two floors, ``python -c "import os; os._exit(0)"`` and
+``python -c "import numpy; os._exit(0)"``, then the import of numpy and of ``quatspin.scenarios``, ``spin``,
+``emfield`` and ``lorentz``, ``quatspin list-kinds``, ``quatspin validate`` of the pms document and ``quatspin run`` of
+a 3-block pms document: for each, the median wall time and the median peak of STARTUP_RUNS processes, the commands in
+turn.  It prints the lines of Python in the ``src`` tree, as ``wc -l`` counts them.  Then, for each document, it
+prints the wall time, the peak and the size and sha256 of the table it wrote, so that two source trees can be
+compared table for table, with their code size beside.  Each document then runs twice more over its own table, and
+``rewrite_s`` is the wall time of the second of those runs: the cost of landing a table on a name that holds one
+which the file system has already written out.  The tool stops if a rewritten table differs.  It uses the standard
+library only and is not part of the test suite.
 
 Usage: python tools/scale.py [--fraction 0.1] [--src DIR]
 """
@@ -43,21 +44,6 @@ DOCUMENTS = {
 }
 
 
-def run_child(args: list, src: str) -> tuple[float, float]:
-    """Run ``python args`` on the src tree to its end; its wall time and peak RSS in MB.  A failure ends the tool."""
-    with tempfile.TemporaryFile() as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
-                                stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait for it again
-        if proc.returncode != 0:
-            err.seek(0)
-            raise SystemExit(f"exit {proc.returncode}: {err.read().decode(errors='replace').strip()}")
-    return wall, usage.ru_maxrss / 1024.0
-
-
 def source_lines(src: str) -> int:
     """Lines of Python in the src tree, counted as wc -l counts them: newline characters."""
     lines = 0
@@ -75,8 +61,8 @@ def sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-# a start-up child reports its own peak resident set (VmHWM) as it calls os._exit: wait4's ru_maxrss would read at
-# least this tool's own peak, which fork and exec pass on to the child, and a bare start-up stays below it
+# a child reports its own peak resident set (VmHWM) as it calls os._exit: wait4's ru_maxrss would read at least this
+# tool's own peak, which fork and exec pass on to the child, and a start-up or a small run stays below it
 PEAK_AT_EXIT = """\
 import os
 def _exit(code, _hard_exit=os._exit):
@@ -86,30 +72,41 @@ def _exit(code, _hard_exit=os._exit):
 os._exit = _exit
 """
 QUATSPIN_CLI = "import runpy; runpy.run_module('quatspin.cli', run_name='__main__', alter_sys=True)"
+LIBRARY = "import numpy, quatspin.scenarios, quatspin.spin, quatspin.emfield, quatspin.lorentz; os._exit(0)"
+
+
+def run_child(code: str, argv: list, src: str) -> tuple[float, float]:
+    """Run ``python -c code argv`` on the src tree to its end, ending in os._exit as a quatspin process does: its
+    wall time in s and its own peak resident set in MB.  A failure ends the tool."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PEAK_AT_EXIT + code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0 or not proc.stderr.startswith("VmHWM:"):  # a run writes nothing else to stderr
+        raise SystemExit(f"{code} {' '.join(argv)}: exit {proc.returncode}: {proc.stderr.strip()}")
+    return wall, int(proc.stderr.split()[1]) / 1024.0  # VmHWM is in kB
 
 
 def startup(src: str, work: str, pms_text: str) -> list[tuple[str, float, float]]:
-    """(label, median wall time in ms, median peak RSS in MB) of the two floors, list-kinds and validate."""
-    scn = os.path.join(work, "startup.scn")
-    with open(scn, "w", encoding="utf-8") as fh:
-        fh.write(pms_text)
-    commands = {  # each ends in os._exit, as a quatspin process does: no interpreter teardown is timed
+    """(label, median wall time in ms, median peak RSS in MB) of each start-up command."""
+    scn, small = os.path.join(work, "startup.scn"), os.path.join(work, "small.scn")
+    for path, text in ((scn, pms_text), (small, DOCUMENTS["pms"](3 / 499_999))):  # small: n_blocks = 3
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    commands = {  # no interpreter teardown is timed
         "python -c 'import os; os._exit(0)'": ["os._exit(0)"],
         "python -c 'import numpy; os._exit(0)'": ["import numpy; os._exit(0)"],
+        "import numpy, then the library": [LIBRARY],
         "quatspin list-kinds": [QUATSPIN_CLI, "list-kinds"],
         "quatspin validate (pms)": [QUATSPIN_CLI, "validate", scn],
+        "quatspin run (pms, 3 blocks)": [QUATSPIN_CLI, "run", small, "--out", os.path.join(work, "small")],
     }
     walls, peaks = {label: [] for label in commands}, {label: [] for label in commands}
     for _ in range(STARTUP_RUNS):  # the commands in turn, so that a drift in the host's speed reaches each alike
         for label, (code, *argv) in commands.items():
-            start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-c", PEAK_AT_EXIT + code, *argv],
-                                  env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, text=True)
-            walls[label].append(time.perf_counter() - start)
-            if proc.returncode != 0 or not proc.stderr.startswith("VmHWM:"):
-                raise SystemExit(f"{label}: exit {proc.returncode}: {proc.stderr.strip()}")
-            peaks[label].append(int(proc.stderr.split()[1]) / 1024.0)  # VmHWM is in kB
+            wall, peak = run_child(code, argv, src)
+            walls[label].append(wall)
+            peaks[label].append(peak)
     lines = [(label, 1e3 * statistics.median(walls[label]), statistics.median(peaks[label])) for label in commands]
     os.remove(scn)
     return lines
@@ -122,13 +119,13 @@ def run_one(src: str, text: str, fmt: str, work: str) -> dict:
     table = os.path.join(out, f"table.{fmt}")
     with open(scn, "w", encoding="utf-8") as fh:
         fh.write(text + f"format = {fmt}\noutput = table.{fmt}\n")
-    argv = ["-m", "quatspin.cli", "run", scn, "--out", out]
-    wall, peak_rss_mb = run_child(argv, src)
+    argv = ["run", scn, "--out", out]
+    wall, peak_rss_mb = run_child(QUATSPIN_CLI, argv, src)
     digest, size = sha256(table), os.path.getsize(table)
     # the same table landed on its name twice more: on ext4, an os.replace over a table makes auto_da_alloc
     # write the new one out, so only the second landing replaces a table whose disk blocks must be freed
     for _ in range(2):
-        rewrite = run_child(argv, src)[0]
+        rewrite = run_child(QUATSPIN_CLI, argv, src)[0]
         if sha256(table) != digest:
             raise SystemExit(f"the rewritten table differs from the first: {text!r}")
     os.remove(table)
@@ -152,7 +149,7 @@ def main(argv=None) -> int:
         for kind, document in DOCUMENTS.items():
             for fmt in ("csv", "json"):
                 r = run_one(src, document(args.fraction), fmt, work)
-                print(f"{kind:<16}{fmt:<8}{r['wall_s']:>9.2f}{r['rewrite_s']:>10.2f}{r['peak_rss_mb']:>13.1f}"
+                print(f"{kind:<16}{fmt:<8}{r['wall_s']:>9.2f}{r['rewrite_s']:>10.2f}{r['peak_rss_mb']:>13.2f}"
                       f"{r['bytes']:>12}  {r['sha256']}", flush=True)
     return 0
 
