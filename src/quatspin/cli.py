@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+_ESCAPED_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}  # str.splitlines' breaks
 # each command's usage line; only run takes options, and each of them takes a value
 _USAGE = {None: "quatspin [-h] {run,validate,list-kinds} ...",
           "run": f"quatspin run [-h] [--out DIR] [--format {{{','.join(FORMATS)}}}] [--threads N] SCENARIO",
@@ -38,10 +39,8 @@ def _parse(argv) -> tuple:
     module's docstring says.  Help and a usage error end in SystemExit, after their lines are written."""
     command, paths, options, tokens = None, [], {}, iter(argv)
 
-    def fail(message):  # a line break that str.splitlines sees in a token is written escaped: one error line
-        message = message.translate({ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
-        raise SystemExit(_report(sys.stderr, [f"usage: {_USAGE[command]}", f"quatspin: error: {message}"],
-                                 EXIT_CONFIG))
+    def fail(message):
+        raise SystemExit(_report(sys.stderr, [f"usage: {_USAGE[command]}", f"quatspin: error: {message}"], EXIT_CONFIG))
 
     for token in tokens:
         if token in ("-h", "--help"):
@@ -76,9 +75,9 @@ def _parse(argv) -> tuple:
 
 
 def _report(stream, lines, code: int) -> int:
-    """Write lines to stdout or stderr and return the exit code: code, or EXIT_IO if they could not be written."""
+    """Write lines to stdout or stderr, a line break in one escaped; return code, or EXIT_IO if they are not written."""
     try:
-        stream.write("".join(f"{line}\n" for line in lines))
+        stream.write("".join(f"{line.translate(_ESCAPED_BREAKS)}\n" for line in lines))
         stream.flush()  # a failed write raises here, not at exit
     except OSError as err:
         # what stays buffered goes to os.devnull, or the interpreter's final flush fails again

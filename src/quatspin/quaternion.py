@@ -67,7 +67,6 @@ ETA_X = _const([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 ETA_Y = _const([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 ETA_Z = _const([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
 
-SIGMA_0 = _const([[1, 0], [0, 1]], complex)
 SIGMA_X = _const([[0, 1], [1, 0]], complex)
 SIGMA_Y = _const([[0, -1j], [1j, 0]], complex)
 SIGMA_Z = _const([[1, 0], [0, -1]], complex)

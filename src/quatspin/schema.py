@@ -16,6 +16,7 @@ EM_CASES = ("plane-wave", "point-charge", "constant")
 OUT_DIR_ENV = "QUATSPIN_OUT_DIR"
 MAX_SCENARIO_CHARS = 1 << 20  # a scenario is a few hundred characters: load_scenario refuses a longer file
 MAX_STEPS = 1_000_000  # spin.integrate_spin's step cap, which a helical document must keep: about 100 MB, a few seconds
+MAX_STEP_ANGLE = 0.5  # rad: the most that one of integrate_spin's steps may turn the spin
 
 
 class ConfigError(ValueError):
@@ -125,27 +126,21 @@ def _coerce(field: _Field, value):
     return value if isinstance(value, field.kind) else None
 
 
-def _first_step_angle(v: dict) -> float:
-    """The angle by which integrate_spin's first step of helical_field turns the spin."""
-    d = v["omega"] - v["delta"]
-    # the field at t = 0 is (-gamma, 0, d): its squares are summed as integrate_spin sums them, not
-    # by math.hypot, so that they overflow and underflow alike
-    return min(v["dt"], v["t_max"]) * math.sqrt(v["gamma"] * v["gamma"] + d * d)
+# the library's own rules, which spin applies to arrays (np.sqrt) and validate_scenario to floats (math.sqrt)
+def span_steps(t0, t1, dt):
+    """integrate_spin's step count from t0 to t1, less a rounding allowance: it takes max(1, ceil()) steps."""
+    return (t1 - t0) / dt - 1e-12
 
 
-def _probability_overflow(v: dict):
-    """The error naming the key if resonance_curve's probabilities overflow on the grid, else None."""
-    delta = max(abs(v["delta_min"]), abs(v["delta_max"]))
-    # w^2 and the phase at the grid's largest |delta|, computed as spin._probabilities computes them, so
-    # that they overflow alike
-    w_sq = v["gamma"] * v["gamma"] + delta * delta
-    if not math.isfinite(w_sq):
-        key = max(("gamma", "delta_min", "delta_max"), key=lambda k: abs(v[k]))
-        return f"key {key!r}: gamma^2 + max(|delta_min|, |delta_max|)^2 overflows"
-    phase = 0.5 * v["t_pass"] * math.sqrt(w_sq)
-    if not math.isfinite(phase):
-        return f"key 't_pass': the phase 0.5 * t_pass * sqrt(gamma^2 + max(|delta_min|, |delta_max|)^2) overflows"
-    return None
+def step_angle(h, b_sq, coupling, sqrt):
+    """The angle by which a step h in a field of squared norm b_sq turns the spin, to hold to MAX_STEP_ANGLE."""
+    return h * (sqrt(b_sq) * abs(coupling))
+
+
+def rabi_terms(t_pass, gamma, delta, sqrt):
+    """The squared Rabi rate gamma^2 + delta^2 of the resonance probabilities, and their phase after t_pass."""
+    w_sq = gamma * gamma + delta * delta
+    return w_sq, 0.5 * t_pass * sqrt(w_sq)
 
 
 def validate_scenario(raw: dict) -> Scenario:
@@ -185,20 +180,29 @@ def validate_scenario(raw: dict) -> Scenario:
         # resonance_curve builds its grid from the span, which must not overflow
         if not 0.0 < values["delta_max"] - values["delta_min"] < math.inf:
             errors.append("key 'delta_max': must be greater than delta_min, by a finite span")
-        elif "gamma" in values and "t_pass" in values and (overflow := _probability_overflow(values)):
-            errors.append(overflow)
+        elif "gamma" in values and "t_pass" in values:  # at the grid's largest |delta|, where the terms overflow first
+            delta = max(abs(values["delta_min"]), abs(values["delta_max"]))
+            w_sq, phase = rabi_terms(values["t_pass"], values["gamma"], delta, math.sqrt)
+            if not math.isfinite(w_sq):
+                key = max(("gamma", "delta_min", "delta_max"), key=lambda k: abs(values[k]))
+                errors.append(f"key {key!r}: gamma^2 + max(|delta_min|, |delta_max|)^2 overflows")
+            elif not math.isfinite(phase):
+                errors.append("key 't_pass': the phase 0.5 * t_pass * sqrt(gamma^2 + max(|delta_min|, "
+                              "|delta_max|)^2) overflows")
     if kind == "helical" and "gamma" in values and "delta" in values:
         if values["gamma"] == 0.0 and values["delta"] == 0.0:
             errors.append("keys 'gamma' and 'delta': cannot both be 0")
     if kind == "helical" and all(k in values for k in ("gamma", "delta", "omega", "t_max", "dt")):
-        angle = _first_step_angle(values)
+        # helical_field at t = 0 is (-gamma, 0, omega - delta): its squares summed as integrate_spin sums them
+        gamma, d = values["gamma"], values["omega"] - values["delta"]
+        angle = step_angle(min(values["dt"], values["t_max"]), gamma * gamma + d * d, 1.0, math.sqrt)
         # integrate_spin's bound (StepTooLarge), beyond rounding: never reject a step it would take
-        if angle > 0.5 * (1.0 + 1e-12):
-            errors.append(f"key 'dt': the first step turns the spin by {angle!r} rad, more than 0.5 "
+        if angle > MAX_STEP_ANGLE * (1.0 + 1e-12):
+            errors.append(f"key 'dt': the first step turns the spin by {angle!r} rad, more than {MAX_STEP_ANGLE} "
                           "(min(dt, t_max) * hypot(gamma, omega - delta))")
     if kind == "helical" and "t_max" in values:
-        # integrate_spin's InvalidTimeSpan test, term for term
-        if "dt" in values and (steps := values["t_max"] / values["dt"] - 1e-12) > MAX_STEPS:
+        # integrate_spin's InvalidTimeSpan test
+        if "dt" in values and (steps := span_steps(0.0, values["t_max"], values["dt"])) > MAX_STEPS:
             errors.append(f"keys 't_max' and 'dt': t_max / dt = {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
         # helical_field's drive phase omega * t at the last sample time, t_max
         if "omega" in values and not math.isfinite(values["omega"] * values["t_max"]):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .quaternion import (IDENTITY, Quaternion, _BLOCK, _checked_make, _mul4, _unit_norm_sq, _unit_vector,
                          quat_to_rotation, rotate_batch)
-from .schema import MAX_STEPS  # integrate_spin's step cap, which the schema's helical check states once
+from .schema import MAX_STEP_ANGLE, MAX_STEPS, rabi_terms, span_steps, step_angle  # rules stated once, in schema
 
 
 class IndexOutOfRange(IndexError):
@@ -224,11 +224,11 @@ def _step_quaternions(field_fn, starts: np.ndarray, h: np.ndarray, coupling: flo
     fields = fields.reshape(-1, 3, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # |B|^2, h^3 or h^4 may overflow: refused by name below
         # a stacked matmul runs the dot kernel of np.linalg.norm, so each angle is bit-exact
-        step_angle = h * (np.sqrt((fields[:, 0, None, :] @ fields[:, 0, :, None])[:, 0, 0]) * abs(coupling))
-        too_large = ~(step_angle <= 0.5)
+        angle = step_angle(h, (fields[:, 0, None, :] @ fields[:, 0, :, None])[:, 0, 0], coupling, np.sqrt)
+        too_large = ~(angle <= MAX_STEP_ANGLE)
         if too_large.any():
             i = int(np.argmax(too_large))
-            raise StepTooLarge(f"dt * |coupling * B| = {float(step_angle[i])!r} exceeds 0.5 rad "
+            raise StepTooLarge(f"dt * |coupling * B| = {float(angle[i])!r} exceeds {MAX_STEP_ANGLE} rad "
                                f"at t = {float(starts[i])!r}")
         # component tuples (0, bx, by, bz) of the a_k, one array per component, multiplied by _mul4 itself
         b = (-0.5 * coupling * fields).reshape(-1, 9).T.copy()
@@ -271,7 +271,7 @@ def integrate_spin(field_fn, s0: Quaternion, t_span, dt: float, coupling: float 
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (dt > 0.0) or not (t1 > t0):
         raise InvalidTimeSpan(f"need t1 > t0 and dt > 0, got span ({t0}, {t1}), dt {dt}")
-    ratio = (t1 - t0) / dt - 1e-12
+    ratio = span_steps(t0, t1, dt)
     if not ratio <= MAX_STEPS:
         raise InvalidTimeSpan(f"span ({t0}, {t1}) with dt {dt} needs more than MAX_STEPS = {MAX_STEPS} steps")
     _unit_norm_sq(s0)
@@ -399,10 +399,8 @@ def _probabilities(t_pass: float, gamma_width: float, delta_detune) -> tuple[np.
     if t_pass < 0.0:
         raise ValueError("t_pass must be >= 0")
     d = np.asarray(delta_detune, dtype=float)
-    w_sq = gamma_width * gamma_width + d * d
-    zero = w_sq == 0.0
-    w_sq = np.where(zero, 1.0, w_sq)
-    half = 0.5 * t_pass * np.sqrt(w_sq)
+    w_sq, half = rabi_terms(t_pass, gamma_width, d, np.sqrt)
+    zero = w_sq == 0.0  # no field: the quotients below are 0 / 0 there, which the mask replaces
     g_sq = gamma_width * gamma_width / w_sq
     return (np.where(zero, 0.0, g_sq * np.sin(half) ** 2),
             np.where(zero, 1.0, g_sq * np.cos(half) ** 2 + d * d / w_sq))

@@ -5,6 +5,8 @@
 - A finite-difference step h is accepted when 0 < h < inf.
 - A speed of light c is accepted when 0 < c < inf.
 - A velocity v is accepted when |v| < c, which a NaN |v| is not.
+- A helical document and integrate_spin share the step count, the step angle held to MAX_STEP_ANGLE, and (with
+  resonance_curve) the Rabi terms: each is computed in one function of schema, which both layers call.
 """
 
 import ast
@@ -244,16 +246,21 @@ def test_boost_from_velocity_takes_the_axis_of_a_subnormal_velocity(v):
 # each rule is coded once
 
 
-def functions_where(predicate) -> set:
-    """(module, function) for every top-level function or method in src/ with a node that predicate accepts."""
-    found = set()
+def nodes_where(predicate) -> list:
+    """(module, function) once per node that predicate accepts, in each top-level function or method in src/."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             defs = top.body if isinstance(top, ast.ClassDef) else [top]
             for node in defs:
-                if isinstance(node, ast.FunctionDef) and any(map(predicate, ast.walk(node))):
-                    found.add((path.stem, node.name))
+                if isinstance(node, ast.FunctionDef):
+                    found += [(path.stem, node.name)] * sum(1 for n in ast.walk(node) if predicate(n))
     return found
+
+
+def functions_where(predicate) -> set:
+    """(module, function) for every top-level function or method in src/ with a node that predicate accepts."""
+    return set(nodes_where(predicate))
 
 
 def named(node, name: str) -> bool:
@@ -298,3 +305,29 @@ def test_degenerate_step_is_raised_by_the_stencil_only():
 def test_every_lorentz_quat_is_built_by_a_generator():
     building = functions_where(lambda n: isinstance(n, ast.Call) and named(n.func, "LorentzQuat"))
     assert building == {("lorentz", "rotation_generator"), ("lorentz", "boost_generator")}
+
+
+def is_sqrt_call(node) -> bool:
+    return isinstance(node, ast.Call) and (named(node.func, "sqrt") or isinstance(node.func, ast.Attribute)
+                                           and node.func.attr == "sqrt")
+
+
+def test_step_count_step_angle_and_rabi_terms_are_computed_in_schema_and_called_by_both_layers():
+    # integrate_spin's step count, less its rounding allowance
+    allowance = functions_where(lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+                                and isinstance(n.right, ast.Constant) and n.right.value == 1e-12)
+    assert allowance == {("schema", "span_steps")}
+    # a square root is multiplied in the step angle h * |coupling| * |B| and in the Rabi phase t_pass * W / 2 alone
+    assert functions_where(lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                           and (is_sqrt_call(n.left) or is_sqrt_call(n.right))) == {
+        ("schema", "step_angle"), ("schema", "rabi_terms")}
+    # each layer holds a step angle to the bound in one comparison, which reads the bound by name, not as 0.5
+    bounded = nodes_where(lambda n: "MAX_STEP_ANGLE" in compared_with("MAX_STEP_ANGLE", n))
+    assert sorted(bounded) == [("schema", "validate_scenario"), ("spin", "_step_quaternions")]
+    literal = functions_where(lambda n: isinstance(n, ast.Compare)
+                              and any(isinstance(x, ast.Constant) and x.value == 0.5 for x in ast.walk(n)))
+    assert not literal & set(bounded)
+    for rule, library in (("span_steps", "integrate_spin"), ("step_angle", "_step_quaternions"),
+                          ("rabi_terms", "_probabilities")):
+        calling = functions_where(lambda n: isinstance(n, ast.Call) and named(n.func, rule))
+        assert calling == {("schema", "validate_scenario"), ("spin", library)}, rule

@@ -838,6 +838,51 @@ def test_no_run_sets_off_a_garbage_collection(tmp_path, name, fmt):
     assert starts == []
 
 
+def profile_counts(call) -> dict:
+    """The number of 'call' (Python function) and 'c_call' (builtin) events that sys.setprofile sees in call()."""
+    counts = dict.fromkeys(("call", "c_call"), 0)
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+# (document at size n, its table rows, two sizes, {event: (a, b)}): a warm run_scenario at either size makes
+# a + b * rows events of each kind, as measured on Python 3.11 with numpy 2.4.  The budget is 1.25 a + (b + 0.1) *
+# rows: one more call per row, per pms station (two rows) or per lorentz-check case (four rows) exceeds it
+CALL_BUDGETS = {
+    "helical": (lambda n: {"kind": "helical", "gamma": 0.04, "omega": 0.02, "delta": 0.0, "dt": 0.125,
+                           "t_max": 0.125 * n}, lambda n: n + 1, (1000, 5000),
+                {"call": (128, 1.089), "c_call": (190, 1.148)}),
+    "pms": (lambda n: {"kind": "pms", "xi1": 0.3, "xi2": 0.01, "theta": 0.15, "n_blocks": n}, lambda n: 2 * (n + 1),
+            (500, 2500), {"call": (79, 1.044), "c_call": (142, 0.119)}),
+    "lorentz-check": (lambda n: {"kind": "lorentz-check", "n_cases": n}, lambda n: 4 * n, (250, 1250),
+                      {"call": (580, 0.440), "c_call": (381, 8.029)}),
+    "resonance-curve": (lambda n: {"kind": "resonance-curve", "gamma": 0.04, "delta_min": -0.4, "delta_max": 0.4,
+                                   "n_points": n, "t_pass": 78.5}, lambda n: n, (1000, 5000),
+                        {"call": (51, 0.012), "c_call": (95, 0.026)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CALL_BUDGETS))
+def test_a_run_makes_no_more_calls_than_its_budget_per_row(tmp_path, kind):
+    document, rows, sizes, measured = CALL_BUDGETS[kind]
+    for n in sizes:
+        scn = validate_scenario(document(n))
+        run_scenario(scn, str(tmp_path))  # imports, one-time caches, and the table that the counted run replaces
+        counts = profile_counts(lambda: run_scenario(scn, str(tmp_path)))
+        budget = {event: 1.25 * a + (b + 0.1) * rows(n) for event, (a, b) in measured.items()}
+        assert all(counts[event] <= budget[event] for event in counts), (n, counts, budget)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -846,6 +891,32 @@ def write_scenario(tmp_path, text, name="scn.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# each character that str.splitlines breaks a line at, in a path that a report line names, is written escaped as
+# repr escapes it, so that each report line stays one line
+BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_cli_validate_writes_a_path_with_line_breaks_on_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nl").mkdir()
+    path = f"nl/a{BREAKS}b.scn"
+    write_scenario(tmp_path, RESONANT_PMS, name=path)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == f"ok: {repr(path)[1:-1]} is a valid 'pms' scenario\n"
+
+
+def test_cli_run_writes_an_out_dir_with_line_breaks_on_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    scn = write_scenario(tmp_path, RESONANT_PMS)
+    out = f"nl/o{BREAKS}ut"
+    assert main(["run", scn, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == ["kind", "seed", "closure_distance", "resonant_geometry",
+                                                          "wrote", "duration_s"]
+    assert lines[4] == f"wrote: {repr(out)[1:-1]}/pms.csv"
+    assert os.listdir(tmp_path / out) == ["pms.csv"]
 
 
 def test_cli_list_kinds(capsys):

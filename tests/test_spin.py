@@ -532,11 +532,14 @@ def plain_field(t):
     return (0.3 * math.cos(1.1 * t), 0.2 - 0.1 * math.sin(0.4 * t), 0.5)
 
 
-# sha256 of integrate_spin's states on both sides of the 1024-step block (x86-64, numpy 2.4); each span ends
-# on a half step, so the last step is the shorter one
+# sha256 of integrate_spin's states on both sides of the 1024-step block, on either field path and at couplings
+# -1.3, 1 and 2.5 (x86-64, numpy 2.4); each span ends on a half step, so the last step is the shorter one
 INTEGRATE_FIELDS = {  # (field_fn, dt, coupling)
     "plain": (plain_field, 0.05, -1.3),
+    "plain-coupling-1": (plain_field, 0.05, 1.0),
+    "plain-coupling-2.5": (plain_field, 0.05, 2.5),
     "helical": (helical_field(HelicalParams(0.9, 0.3, 1.7)), 0.25, 1.0),
+    "helical-coupling-2.5": (helical_field(HelicalParams(0.9, 0.3, 1.7)), 0.1, 2.5),
 }
 INTEGRATE_DIGESTS = {
     ("plain", 1): "8ea61061fad82a87d0fe510b2ac87e917f3825e02b1342e969ecf30d25ee13a0",
@@ -544,11 +547,26 @@ INTEGRATE_DIGESTS = {
     ("plain", 1024): "4059bed890683ef2c5034f83f1855cfa04301b73f8af11b21c0a23592e00ba6d",
     ("plain", 1025): "edb98e0233e8e4147986e6ccdf8825b273fd30ff585fc861a14ac71cb3fc6b4b",
     ("plain", 2049): "2ad6dbd27de85ee4efa1a5b1d0c58bd010ba6ad2ba342907bf9564e7e36558b5",
+    ("plain-coupling-1", 1): "91e22e4edd21f74bc272714f9f7c2b9c9719f869e823a7a34a2566f7c4b5d640",
+    ("plain-coupling-1", 1023): "1ae5cbcc37b2000ccf2fb081d315f6da9e9ad090c30d8551dbfa9a41a216a056",
+    ("plain-coupling-1", 1024): "2607f54c8b23d3d12fbb3c98e899a91adb0b675b63831f38f1af3d63f0627c58",
+    ("plain-coupling-1", 1025): "d210a5078b222db5b673b83d87522d2ee83a60a334c2a514d2b43636f647fd0c",
+    ("plain-coupling-1", 2500): "1e74ccc3b0177252671fd03462baecabc8beabced5550d7e7b572349200f0812",
+    ("plain-coupling-2.5", 1): "3b517a94194e8a738dad8bf8bd2f9c79a19f129b65fd5956f1b945f3f1c3b15a",
+    ("plain-coupling-2.5", 1023): "805ac2ded68048c8f4c81a56eedad1c8d4651a24d42de2c5de089ccd51ca3bed",
+    ("plain-coupling-2.5", 1024): "95f504cd536f4d457a219b40a2846276bef1f235eba320401c4da0414a93fce7",
+    ("plain-coupling-2.5", 1025): "2506cdcc98547a89e442d60179a3bb8ab2d0bf268d56537c9885d5210db1ac5c",
+    ("plain-coupling-2.5", 2500): "9fc07f38037d2d302e55712e4a7ab30db358178f92c94997a8139cd5364c4b2b",
     ("helical", 1): "c4273957413d51505bdc0afcd1d0eeb4b900060fdd2af368f8fee082cce240e8",
     ("helical", 1023): "ce5fb65db901cd5be74834ea6434252d9f48777569b022fc4d23eab6d50eebf1",
     ("helical", 1024): "f5e7dfd2c15a047c71742fc8426f3afbf462445ebd62c80d6e00690cd076406e",
     ("helical", 1025): "eb21aa106cfab7499206b319c820b12d1ee7dec355068855c7fdc95ead766993",
     ("helical", 2049): "176369a2ebdca2095beba513f28bf8f18bd0589317adf612484539c04e83701c",
+    ("helical-coupling-2.5", 1): "d1dd36e23b39cc4fd304dd8553c744a0db46f85ccae0218e7d8c3c9f4f047eae",
+    ("helical-coupling-2.5", 1023): "845e6244eec094a58ca61f7539852f58c6588fd74624febb2422408c8250a1dc",
+    ("helical-coupling-2.5", 1024): "e7fcafc799903146686d485e335113bd32643e920c99d50cf39c16e01397e6f6",
+    ("helical-coupling-2.5", 1025): "dd6f4f97039205693fa9b7d9d343da6c64704ed496175b951fd68d05f41bbad0",
+    ("helical-coupling-2.5", 2500): "ab9d14dfc0480690f64825cd9f6115838504bd7ab783756b9e238f668e417f35",
 }
 
 
@@ -834,3 +852,54 @@ def test_resonance_curve():
     # an overflowing span: np.linspace warned, and the grid held inf and NaN
     with pytest.raises(ValueError, match="delta_max - delta_min must be finite"):
         resonance_curve(g, -1e308, 1e308, 10, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the library side of the rules that schema states once: step count, step angle and Rabi terms
+
+
+def test_probabilities_keep_their_bits_where_the_rabi_rate_vanishes():
+    # gamma = 0 and delta = 0 on the grid's middle point, gamma^2 underflowing there, and a width for contrast
+    digest = hashlib.sha256()
+    for gamma in (0.0, 1e-200, 0.5):
+        for t_pass in (0.0, 1.0, 78.5):
+            digest.update(resonance_curve(gamma, -1.0, 1.0, 5, t_pass).tobytes())
+    assert digest.hexdigest() == "867911ee99b9ee56094383bf14a9ec78da8493038128fa10cfe3be7509475c9f"
+    for t_pass in (0.0, 1.0, math.inf):  # no field, no flip: whatever the phase reads
+        assert [repr(f(t_pass, 0.0, 0.0)) for f in (spin_flip_probability, spin_up_probability)] == ["0.0", "1.0"]
+
+
+def up(t):
+    """A plain callable: a unit field along z."""
+    return (0.0, 0.0, 1.0)
+
+
+SPIN_AXIAL = helical_field(HelicalParams(0.0, -1.0, 0.0))  # the sample path: a unit field along z
+
+
+@pytest.mark.parametrize("field_fn, t_span, dt, coupling, error, message", [
+    # the step angle one float past 0.5 rad, on either path and coupling
+    (up, (0.0, 1.0), 0.5000000000000001, 1.0, StepTooLarge,
+     "dt * |coupling * B| = 0.5000000000000001 exceeds 0.5 rad at t = 0.0"),
+    (up, (0.0, 1.0), 0.20000000000000004, 2.5, StepTooLarge,
+     "dt * |coupling * B| = 0.5000000000000001 exceeds 0.5 rad at t = 0.0"),
+    (SPIN_AXIAL, (3.0, 4.0), 0.5000000000000001, -1.0, StepTooLarge,
+     "dt * |coupling * B| = 0.5000000000000001 exceeds 0.5 rad at t = 3.0"),
+    # one float more than MAX_STEPS steps, and a span or step just short of positive
+    (up, (0.0, 1000000.0000000001), 1.0, 1.0, InvalidTimeSpan,
+     "span (0.0, 1000000.0000000001) with dt 1.0 needs more than MAX_STEPS = 1000000 steps"),
+    (up, (-2.0, 999998.0000000001), 1.0, 1.0, InvalidTimeSpan,
+     "span (-2.0, 999998.0000000001) with dt 1.0 needs more than MAX_STEPS = 1000000 steps"),
+    (up, (1.0, 1.0), 0.1, 1.0, InvalidTimeSpan, "need t1 > t0 and dt > 0, got span (1.0, 1.0), dt 0.1"),
+    (up, (0.0, 1.0), 0.0, 1.0, InvalidTimeSpan, "need t1 > t0 and dt > 0, got span (0.0, 1.0), dt 0.0"),
+    (up, (0.0, 1.0), -5e-324, 1.0, InvalidTimeSpan, "need t1 > t0 and dt > 0, got span (0.0, 1.0), dt -5e-324"),
+])
+def test_integrate_spin_refuses_just_past_each_bound_with_its_message(field_fn, t_span, dt, coupling, error, message):
+    with pytest.raises(error) as refused:
+        integrate_spin(field_fn, IDENTITY, t_span, dt, coupling=coupling)
+    assert str(refused.value) == message
+
+
+def test_integrate_spin_takes_a_step_of_exactly_half_a_radian():
+    for field_fn, dt, coupling in ((up, 0.5, 1.0), (up, 0.2, 2.5), (SPIN_AXIAL, 0.5, -1.0)):
+        assert len(integrate_spin(field_fn, IDENTITY, (0.0, 1.0), dt, coupling=coupling)) == 1 + math.ceil(1.0 / dt)
