@@ -3,13 +3,13 @@
 Rotations and boosts act on the 4x4 tensor realization by the conjugation
 F' = L F L^T, with generators
 
-    L = nu0 eta_0 + nu_x eta_x + nu_y eta_y + nu_z eta_z.
+    L = nu0 eta_0 + v_x eta_x + v_y eta_y + v_z eta_z,  (nu0, v) = (cos(z/2), m sin(z/2)).
 
-Rotations carry real coefficients (nu0, nu) = (cos(a/2), m sin(a/2)) with
-nu0^2 + |nu|^2 = 1.  Boosts store the real pair (cosh(phi/2), m sinh(phi/2))
-with nu0^2 - |nu|^2 = 1 and pick up a factor i on the vector part at matrix
-realization time; that is the unique choice keeping L L^T equal to the
-identity while reproducing the familiar E/B boost mix.
+A boost is a rotation by an imaginary angle: z is the angle a of a rotation,
+or i phi for a boost of rapidity phi, realized as (cosh(phi/2), i m sinh(phi/2)).
+One constraint nu0^2 + v.v = 1 holds for both kinds and keeps L L^T equal to
+the identity.  The batch kernels carry realized coefficients; LorentzQuat
+stores the real pair (nu0, nu), realized as v = nu, or i nu for a boost.
 
 The eta realization is a ring homomorphism and L^T realizes the conjugate
 quaternion, so the conjugation is the product L (x) (0, f) (x) conj(L) on
@@ -51,17 +51,15 @@ def _unit_axes(m) -> np.ndarray:
 
 
 def _trig(angle, boost):
-    """Row-wise (cos, sin) of the angle, or (cosh, sinh) where boost is set."""
-    angle = np.asarray(angle, dtype=float)
-    hyp = np.where(boost, angle, 0.0)  # cosh never sees a rotation angle
+    """Row-wise complex (cos z, sin z) of z = angle, or of z = i angle where boost is set: (cosh, i sinh) there."""
     with np.errstate(over="raise", invalid="raise"):  # an overflowing boost or an infinite angle raises
-        return np.where(boost, np.cosh(hyp), np.cos(angle)), np.where(boost, np.sinh(hyp), np.sin(angle))
+        z = np.asarray(angle, dtype=float) * np.where(boost, 1j, 1.0)
+        return np.cos(z), np.sin(z)
 
 
-def _check_constraint(nu0, nu, boost):
-    """nu0^2 +- |nu|^2 = 1 row-wise, relative to max(1, nu0^2); raises ValueError naming the first bad row."""
-    nsq = np.einsum("...i,...i->...", nu, nu)
-    err = np.abs(nu0 * nu0 + np.where(boost, -nsq, nsq) - 1.0)
+def _check_constraint(nu0, v, boost):
+    """nu0^2 + v.v = 1 row-wise, relative to max(1, nu0^2); raises ValueError naming the first bad row's kind."""
+    err = np.abs(nu0 * nu0 + np.einsum("...i,...i->...", v, v) - 1.0)
     bad = ~(err <= _CONSTRAINT_TOL * np.maximum(1.0, nu0 * nu0))
     if np.any(bad):
         k = np.argmax(bad)
@@ -69,13 +67,8 @@ def _check_constraint(nu0, nu, boost):
         raise ValueError(f"{kind} constraint violated by {float(np.ravel(err)[k])!r}")
 
 
-def _realized(nu, boost) -> np.ndarray:
-    """Vector coefficients of the matrix realization: nu, or i nu for boosts."""
-    return np.where(np.asarray(boost)[..., None], 1j * nu, nu)
-
-
 class LorentzQuat(namedtuple("LorentzQuat", "nu0 nu kind")):
-    """Generator coefficients (nu0, nu) plus the kind that fixes realization."""
+    """Real generator coefficients (nu0, nu) plus the kind that fixes their realization v."""
 
     __slots__ = ()
     _make = _checked_make
@@ -86,34 +79,40 @@ class LorentzQuat(namedtuple("LorentzQuat", "nu0 nu kind")):
             raise ValueError("nu must be a 3-vector")
         if kind not in (KIND_ROTATION, KIND_BOOST):
             raise ValueError(f"unknown kind {kind!r}")
-        nu0 = float(nu0)
-        _check_constraint(nu0, nu, kind == KIND_BOOST)
-        return super().__new__(cls, nu0, nu, kind)
+        self = super().__new__(cls, float(nu0), nu, kind)
+        _check_constraint(self.nu0, self.v, kind == KIND_BOOST)
+        return self
+
+    @property
+    def v(self) -> np.ndarray:
+        """Realized vector coefficients: nu, or i nu for a boost."""
+        return self.nu * (1j if self.kind == KIND_BOOST else 1.0 + 0j)
 
     @property
     def matrix(self) -> np.ndarray:
-        """4x4 realization nu0 eta_0 + sum_k nu_k eta_k (boosts: i nu_k)."""
-        v = _realized(self.nu, self.kind == KIND_BOOST)
+        """4x4 realization nu0 eta_0 + sum_k v_k eta_k."""
+        v = self.v
         return self.nu0 * ETA_0 + v[0] * ETA_X + v[1] * ETA_Y + v[2] * ETA_Z
 
     @property
     def matrix_t(self) -> np.ndarray:
-        """The transposed realization nu0 eta_0 - sum_k nu_k eta_k (each eta_k is antisymmetric)."""
+        """The transposed realization nu0 eta_0 - sum_k v_k eta_k (each eta_k is antisymmetric)."""
         return self.matrix.T
 
 
 def generator_batch(m, angle, boost) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (nu0, nu) for (..., 3) axes, angles and a boost mask, each row checked as LorentzQuat checks."""
+    """Row-wise realized (nu0, v) for (..., 3) axes, angles and a boost mask, each row checked as LorentzQuat checks."""
     m = _unit_axes(m)
-    nu0, s = _trig(0.5 * np.asarray(angle, dtype=float), boost)
-    nu = m * s[..., None]
-    _check_constraint(nu0, nu, boost)
-    return nu0, nu
+    c, s = _trig(0.5 * np.asarray(angle, dtype=float), boost)
+    nu0, v = c.real, m * s[..., None]
+    _check_constraint(nu0, v, boost)
+    return nu0, v
 
 
 def rotation_generator(m, alpha: float) -> LorentzQuat:
     """Rotation about unit axis m by angle alpha: (cos(a/2), m sin(a/2))."""
-    return LorentzQuat(*generator_batch(m, alpha, False), kind=KIND_ROTATION)
+    nu0, v = generator_batch(m, alpha, False)
+    return LorentzQuat(nu0, v.real, KIND_ROTATION)
 
 
 def boost_generator(m, rapidity: float) -> LorentzQuat:
@@ -122,7 +121,8 @@ def boost_generator(m, rapidity: float) -> LorentzQuat:
     cosh(phi) is the Lorentz factor gamma and tanh(phi) = v/c; rapidities
     along one axis add under composition.
     """
-    return LorentzQuat(*generator_batch(m, rapidity, True), kind=KIND_BOOST)
+    nu0, v = generator_batch(m, rapidity, True)
+    return LorentzQuat(nu0, v.imag, KIND_BOOST)
 
 
 def _velocity(v, c: float) -> tuple[float, np.ndarray]:
@@ -147,9 +147,9 @@ def boost_from_velocity(v, c: float = 1.0) -> LorentzQuat:
     return boost_generator(axis, math.atanh(beta))
 
 
-def transform_batch(nu0, nu, boost, f) -> np.ndarray:
-    """Row-wise L F L^T on complex (..., 3) tensor coefficients f, as the product L (x) (0, f) (x) conj(L)."""
-    v = np.moveaxis(_realized(nu, boost), -1, 0)
+def transform_batch(nu0, v, f) -> np.ndarray:
+    """Row-wise L F L^T for realized (nu0, v) on complex (..., 3) tensor coefficients f, as L (x) (0, f) (x) conj(L)."""
+    v = np.moveaxis(v, -1, 0)
     f = np.moveaxis(np.asarray(f, dtype=complex), -1, 0)
     _, *out = _mul4(_mul4((nu0, *v), (0.0, *f)), (nu0, *-v))
     return np.stack(out, axis=-1)
@@ -157,7 +157,7 @@ def transform_batch(nu0, nu, boost, f) -> np.ndarray:
 
 def transform_tensor(L: LorentzQuat, F: EmTensor) -> EmTensor:
     """Conjugated tensor F' = L F L^T, returned in the same f = B - i E storage."""
-    return EmTensor(f=transform_batch(L.nu0, L.nu, L.kind == KIND_BOOST, F.f))
+    return EmTensor(f=transform_batch(L.nu0, L.v, F.f))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def closed_form_batch(F, m, angle, boost) -> np.ndarray:
     F = np.asarray(F, dtype=complex)
     c, s = _trig(angle, boost)
     mf = np.einsum("...i,...i->...", m, F)
-    return F * c[..., None] + m * mf[..., None] * (1.0 - c)[..., None] - np.cross(m, F) * _realized(s[..., None], boost)
+    return F * c[..., None] + m * mf[..., None] * (1.0 - c)[..., None] - np.cross(m, F) * s[..., None]
 
 
 def rotate_field_closed(F, m, alpha) -> np.ndarray:

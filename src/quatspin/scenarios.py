@@ -166,8 +166,8 @@ def _run_lorentz_check(scn: Scenario):
             gens = np.fromiter(steps[j], float, len(steps[j])).reshape(-1, 5)
             axes = gens[:, :3] / np.linalg.norm(gens[:, :3], axis=1, keepdims=True)
             boosts, angles = gens[:, 3] != 0.0, gens[:, 4]
-            nu0, nu = lorentz.generator_batch(axes, angles, boosts)
-            f[active] = lorentz.transform_batch(nu0, nu, boosts, f[active])
+            nu0, v = lorentz.generator_batch(axes, angles, boosts)
+            f[active] = lorentz.transform_batch(nu0, v, f[active])
             closed[active] = lorentz.closed_form_batch(closed[active], axes, angles, boosts)
         out = emfield.EmTensor(f=f).fields()
         i1p, i2p = emfield.lorentz_invariants(out)

@@ -27,6 +27,7 @@ from quatspin.lorentz import (
     triple_from_tensor,
     triple_to_fields,
 )
+from quatspin.lorentz import _unit_axes
 from quatspin.quaternion import ETA_0, NonUnitAxis
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -262,12 +263,10 @@ def test_triple_adapters_round_trip():
 
 N_ROWS = 6
 unit = st.floats(-1.0, 1.0, allow_nan=False)
-generators = st.tuples(
-    arrays(float, (N_ROWS, 3), elements=unit).filter(lambda m: np.all(np.linalg.norm(m, axis=1) > 1e-3)).map(
-        lambda m: m / np.linalg.norm(m, axis=1, keepdims=True)),
-    arrays(float, N_ROWS, elements=st.floats(-6.0, 6.0, allow_nan=False)),
-    arrays(bool, N_ROWS),
-)
+unit_axes = arrays(float, (N_ROWS, 3), elements=unit).filter(lambda m: np.all(np.linalg.norm(m, axis=1) > 1e-3)).map(
+    lambda m: m / np.linalg.norm(m, axis=1, keepdims=True))
+generators = st.tuples(unit_axes, arrays(float, N_ROWS, elements=st.floats(-6.0, 6.0, allow_nan=False)),
+                       arrays(bool, N_ROWS))
 triples = st.tuples(arrays(float, (N_ROWS, 3), elements=st.floats(-1e3, 1e3)),
                     arrays(float, (N_ROWS, 3), elements=st.floats(-1e3, 1e3))).map(lambda p: p[0] + 1j * p[1])
 
@@ -280,13 +279,13 @@ def scalar_generator(axis, angle, boost):
 @given(generators, triples)
 def test_transform_batch_equals_matrix_conjugation(gens, f):
     axes, angles, boost = gens
-    nu0, nu = generator_batch(axes, angles, boost)
-    got = transform_batch(nu0, nu, boost, f)
+    nu0, v = generator_batch(axes, angles, boost)
+    got = transform_batch(nu0, v, f)
     assert got.shape == (N_ROWS, 3)
     for i in range(N_ROWS):
         gen = scalar_generator(axes[i], angles[i], boost[i])
         assert gen.kind == (KIND_BOOST if boost[i] else KIND_ROTATION)
-        assert gen.nu0 == nu0[i] and np.array_equal(gen.nu, nu[i])
+        assert gen.nu0 == nu0[i] and np.array_equal(gen.v, v[i])
         # the first column of L F L^T holds -f'
         want = -(gen.matrix @ EmTensor(f=f[i]).matrix @ gen.matrix_t)[1:4, 0]
         scale = (gen.nu0**2 + float(gen.nu @ gen.nu)) * max(1.0, float(np.max(np.abs(f[i]))))
@@ -305,6 +304,30 @@ def test_closed_form_batch_equals_the_scalar_closed_forms(gens, F):
     # a mask of one kind is what the kind's own function computes
     assert np.array_equal(closed_form_batch(F, axes, angles, False), rotate_field_closed(F, axes, angles))
     assert np.array_equal(closed_form_batch(F, axes, angles, True), boost_field_closed(F, axes, angles))
+
+
+def closed_form(F, m, c, s) -> np.ndarray:
+    """F c + m (m.F)(1 - c) - (m x F) s row-wise, on unit axes m, for the given cosines c and sines s."""
+    mf = np.einsum("...i,...i->...", m, F)
+    return F * c[..., None] + m * mf[..., None] * (1.0 - c)[..., None] - np.cross(m, F) * s[..., None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_axes, arrays(float, N_ROWS, elements=st.floats(-50.0, 50.0)),
+       arrays(float, N_ROWS, elements=st.floats(-2 * math.pi, 2 * math.pi)), triples)
+def test_kernels_take_the_values_of_libms_trigonometric_and_hyperbolic_functions(axes, rapidities, alphas, F):
+    # numpy's own cosh and sinh differ from libm's in the last bits, and with numpy's SIMD level
+    for axis, phi, alpha in zip(axes, rapidities, alphas):
+        boost, rotation = boost_generator(axis, phi), rotation_generator(axis, alpha)
+        assert boost.nu0 == math.cosh(phi / 2) and np.array_equal(boost.nu, _unit_axes(axis) * math.sinh(phi / 2))
+        assert rotation.nu0 == math.cos(alpha / 2)
+        assert np.array_equal(rotation.nu, _unit_axes(axis) * math.sin(alpha / 2))
+    libm = {f: np.array([f(x) for x in angles]) for f, angles in
+            ((math.cosh, rapidities), (math.sinh, rapidities), (math.cos, alphas), (math.sin, alphas))}
+    m = _unit_axes(axes)
+    boosted = closed_form(F, m, libm[math.cosh], 1j * libm[math.sinh])
+    assert np.array_equal(boost_field_closed(F, axes, rapidities), boosted)
+    assert np.array_equal(rotate_field_closed(F, axes, alphas), closed_form(F, m, libm[math.cos], libm[math.sin]))
 
 
 def test_batched_kernels_check_every_row():

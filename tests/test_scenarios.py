@@ -1493,8 +1493,8 @@ SHIPPED_DIGESTS = {
     ("em_plane_wave.scn", "json"): "7bc00bce94d9591c40212c7133c9720b1d071eeb5735f45fd1b5cba52d385edf",
     ("helical_ring.scn", "csv"): "f2398782ceb3a1cd92df1244f21fe5eb3c661400d4154f35fcf24048882ab15b",
     ("helical_ring.scn", "json"): "a0f7024dd7c6171390650c613ca4bdbe748a0d44a3b5b3bf5db4a7fbf758063b",
-    ("lorentz_sweep.scn", "csv"): "6dda72e1dd3c0aaff838f068cdd3ac914887a8d8012233b372846248ee22dfd6",
-    ("lorentz_sweep.scn", "json"): "ccd80a95e7f79016f3e254a6c014ebacccce073bd32d161748781f29daa3007b",
+    ("lorentz_sweep.scn", "csv"): "3cb35615778d8023f21aa51435dfd9ab2b132f34e6c7c29445f482a4ae3448b0",
+    ("lorentz_sweep.scn", "json"): "586974eca7320d7228f5ba3d47071005d60d57a82e039ecaec05412aa9fb5fd5",
     ("pms_detuned.scn", "csv"): "5d41c51290d2a835c5ff66a3dc5ad6146239695b33aa4dfaafd93be2cbb875d0",
     ("pms_detuned.scn", "json"): "86693d7fed25323e37016b6a5ff18c5e78becef7175538b3fc37f7d7ee5b4744",
     ("pms_fine.scn", "csv"): "d20770a151f02470a385735616ec70a980bfd7d120f89d407e3f3211521ad360",
@@ -1542,10 +1542,10 @@ PINNED_DIGESTS = {
     ("em-point-charge", "json"): "b50985fda903dc5012365c5e85bce67292831049432e9d51b1dc01a68b40d41e",
     ("helical-sign-minus", "csv"): "e0f75e10897107e3afa02338080fe9b5592b7f8b914b78c0ad16736a090a11bd",
     ("helical-sign-minus", "json"): "aa9657e161e61947bfd064d549e347523b682771b8ca1ce1bccd353c831e5201",
-    ("lorentz-blocks", "csv"): "7a3f0ee6d4df0d2f8ce38c0b2895c56f777b8f7b9f2b49ae54643ba4964b14cb",
-    ("lorentz-blocks", "json"): "14a26248f7033b33acdafb0de95e4ca43cb3860ab54cfa4ed67f0c17a207d656",
-    ("lorentz-seed", "csv"): "b1da291ec7d022600427735a3939138d51bc8a5c25f5d325af82322435b06307",
-    ("lorentz-seed", "json"): "ea64b8b2f941b91ae531fd253dac0d89e884e605892c49cf2dd8aa3b462e656c",
+    ("lorentz-blocks", "csv"): "0a02114c6b60a91f4914ee1a960681de9c8628a628a78ad6e681f7f54a3cece0",
+    ("lorentz-blocks", "json"): "59caa436904756ad5a2f8ba919befbd1e81d33eaee59043d39c4cfd4d4c9e694",
+    ("lorentz-seed", "csv"): "24db647f57684e727dff578c0645b633aea12f476db8341c45e85b341596de81",
+    ("lorentz-seed", "json"): "db94cb13cfa32c1505942a2a58779a0d116048c56675ddcb0562e604c134274b",
     ("pms-no-blocks", "csv"): "404f87a465b6d1170990288d467e63db2f5b900e77355695e1a78b911517f4a9",
     ("pms-no-blocks", "json"): "492b6f5b5a56ce0df87c00d4ca0265ea85d6a1af1582b0debc45e93928713c09",
     ("pms-seam", "csv"): "88cd64b3749a5a72627949138f528335fb326b60261aeae3e2ac8cae291e75bb",
@@ -1560,10 +1560,10 @@ PINNED_SUMMARIES = {
     "em-constant": {"max_residual": 0.0},
     "em-point-charge": {"max_residual": 0.050438060946400576, "min_order": 1.9939593451450512},
     "helical-sign-minus": {"final_pz": 0.13810773638949725, "max_norm_drift": 4.440892098500626e-16},
-    "lorentz-seed": {"max_closed_vs_conj": 1.4422967553679087e-14, "max_i1_rel_err": 1.5582241796744386e-15,
+    "lorentz-seed": {"max_closed_vs_conj": 1.934709148071366e-14, "max_i1_rel_err": 1.5582241796744386e-15,
                      "max_i2_rel_err": 1.8935382436550138e-15, "max_w0_change": 263122046515.33173},
-    "lorentz-blocks": {"max_closed_vs_conj": 7.030385528242146e-15, "max_i1_rel_err": 4.7029835133343895e-15,
-                       "max_i2_rel_err": 1.27675647831893e-15, "max_w0_change": 131560.14248520762},
+    "lorentz-blocks": {"max_closed_vs_conj": 7.260880451059088e-15, "max_i1_rel_err": 4.7029835133343895e-15,
+                       "max_i2_rel_err": 1.4714222584745978e-15, "max_w0_change": 131560.14248520747},
     "pms-no-blocks": {"closure_distance": 0.0, "resonant_geometry": 0.0},
     "pms-two-blocks": {"closure_distance": 0.4314701271802637, "resonant_geometry": 0.0},
     "pms-seam": {"closure_distance": 1.1193785747969087, "resonant_geometry": 0.0},
@@ -1585,6 +1585,43 @@ def test_pinned_documents_keep_their_golden_digests_and_summaries(tmp_path):
             summaries.setdefault(name, []).append(repr(sorted(report.summary.items())))
     assert digests == PINNED_DIGESTS
     assert summaries == {name: [repr(sorted(s.items()))] * 2 for name, s in PINNED_SUMMARIES.items()}
+
+
+# numpy reads the variable at import and then runs its AVX2 kernels, as on an x86-64 host without AVX-512
+AVX2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+# prints whether numpy dispatches to each AVX-512 group: one that the variable disables reads False
+AVX512_PROBE = """\
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+print(*(__cpu_features__.get(group, False) for group in ("AVX512_SKX", "AVX512_ICL", "AVX512_SPR")))
+"""
+GOLDEN_TESTS = ("tests/test_scenarios.py::test_shipped_scenario_tables_keep_their_golden_digests",
+                "tests/test_scenarios.py::test_pinned_documents_keep_their_golden_digests_and_summaries",
+                "tests/test_spin.py::test_integrate_spin_states_keep_their_golden_digests")
+
+
+def test_golden_digests_do_not_depend_on_numpys_simd_level(capsys):
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    plain, avx2 = (subprocess.run([sys.executable, "-c", AVX512_PROBE], env=e, capture_output=True, text=True)
+                   for e in (env, dict(env, **AVX2_ONLY)))
+    note = None
+    if avx2.returncode != 0:  # a numpy whose baseline holds AVX-512, or that does not know a group, refuses it
+        error = avx2.stderr.strip().rpartition("\n")[2]
+        note = f"numpy refuses {AVX2_ONLY}: {error}"
+    elif avx2.stdout == plain.stdout:  # no AVX-512 to turn off, or a numpy that ignores the variable
+        note = f"numpy dispatches alike with and without {AVX2_ONLY} (AVX-512 groups: {plain.stdout.strip()})"
+    else:
+        env.update(AVX2_ONLY)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *GOLDEN_TESTS],
+                          cwd=os.path.dirname(SCENARIO_DIR), env=env, capture_output=True, text=True)
+    if note:
+        with capsys.disabled():
+            print(f"\n{note}: the golden tests ran at numpy's default SIMD level only")
+    assert proc.returncode == 0, proc.stdout[-4000:]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 the schema's size bounds.
 
 Each command runs in a fresh process on the given ``src`` tree, and reads its own peak resident set (``VmHWM``) as
-it exits.  First the tool prints two floors, ``python -c "import os; os._exit(0)"`` and
+it exits.  The tool's header names numpy's version and which of its AVX-512 groups the children dispatch to, as
+``NPY_DISABLE_CPU_FEATURES`` may turn them off, so that each timing and sha256 names the SIMD level that produced it.
+Then the tool prints two floors, ``python -c "import os; os._exit(0)"`` and
 ``python -c "import numpy; os._exit(0)"``, then the import of numpy and of ``quatspin.scenarios``, ``spin``,
 ``emfield`` and ``lorentz``, ``quatspin list-kinds``, ``quatspin validate`` of the pms document and ``quatspin run`` of
 a 3-block pms document: for each, the median wall time and the median peak of STARTUP_RUNS processes, the commands in
@@ -73,6 +75,17 @@ os._exit = _exit
 """
 QUATSPIN_CLI = "import runpy; runpy.run_module('quatspin.cli', run_name='__main__', alter_sys=True)"
 LIBRARY = "import numpy, quatspin.scenarios, quatspin.spin, quatspin.emfield, quatspin.lorentz; os._exit(0)"
+# prints numpy's version and, for each AVX-512 group, whether numpy dispatches to it: a group that
+# NPY_DISABLE_CPU_FEATURES disables reads False in __cpu_features__, as one the CPU lacks does
+SIMD_LEVEL = """\
+import numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+print(f"numpy {numpy.__version__}", *(f"{group} {'on' if __cpu_features__.get(group) else 'off'}"
+                                      for group in ("AVX512_SKX", "AVX512_ICL", "AVX512_SPR")), sep=", ", flush=True)
+"""
 
 
 def run_child(code: str, argv: list, src: str) -> tuple[float, float]:
@@ -140,6 +153,9 @@ def main(argv=None) -> int:
     if not 0.0 < args.fraction <= 1.0:
         ap.error("--fraction must be in (0, 1]")
     src = os.path.abspath(args.src)
+    level = subprocess.run([sys.executable, "-c", SIMD_LEVEL], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True).stdout.strip()
+    print(f"children run {level}")
     with tempfile.TemporaryDirectory() as work:
         print(f"{f'start-up, median of {STARTUP_RUNS} processes':<40}{'wall_ms':>9}{'peak_rss_mb':>13}")
         for label, wall_ms, peak_rss_mb in startup(src, work, DOCUMENTS["pms"](args.fraction)):
